@@ -93,7 +93,6 @@ type config struct {
 	appServer     []string
 	latency       time.Duration
 	remotePages   bool
-	wire          string
 	ejbConns      int
 	noUnitBatch   bool
 	skipDDL       bool
@@ -214,15 +213,17 @@ func WithRemotePages() Option {
 	return func(c *config) { c.remotePages = true }
 }
 
-// WithWireProtocol selects the EJB wire protocol: ejb.WireAuto (default
-// — negotiate wire v2, fall back to gob against old containers),
-// ejb.WireFramed (require v2) or ejb.WireGob (force the legacy
-// exchange). Only meaningful with WithAppServer.
-func WithWireProtocol(mode string) Option {
-	return func(c *config) { c.wire = mode }
+// WithWireProtocol is a no-op.
+//
+// Deprecated: the client and the container speak one protocol, the
+// framed wire v2, so there is nothing to select. The option remains so
+// that existing callers (such as the end-to-end benchmark, which passes
+// ejb.WireFramed) keep compiling.
+func WithWireProtocol(string) Option {
+	return func(*config) {}
 }
 
-// WithEJBConns bounds the persistent multiplexed wire-v2 connections per
+// WithEJBConns bounds the persistent multiplexed connections per
 // container endpoint (<=0 selects 3). Only meaningful with
 // WithAppServer.
 func WithEJBConns(n int) Option {
@@ -238,7 +239,7 @@ func WithoutUnitBatch() Option {
 
 // WithRequestTimeout gives every request a deadline budget: the
 // controller derives a context that expires after d, and every tier
-// below — page workers, bean cache, gob client and container — observes
+// below — page workers, bean cache, EJB client and container — observes
 // it. Requests past their budget answer 504 (or a degraded stale bean
 // when WithDegradedServing is also set).
 func WithRequestTimeout(d time.Duration) Option {
@@ -355,7 +356,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 			return nil, err
 		}
 		remote.Latency = cfg.latency
-		remote.Wire = cfg.wire
 		remote.ConnsPerEndpoint = cfg.ejbConns
 		remote.DisableBatch = cfg.noUnitBatch
 		app.Remote = remote
@@ -387,7 +387,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 			return nil, err
 		}
 		remote.Latency = cfg.latency
-		remote.Wire = cfg.wire
 		remote.ConnsPerEndpoint = cfg.ejbConns
 		remote.DisableBatch = cfg.noUnitBatch
 		app.Remote = remote

@@ -30,9 +30,9 @@ var errCodec = errors.New("ejb: malformed wire data")
 // map/slice values) so crafted input cannot overflow the stack.
 const maxNesting = 64
 
-// Value kind tags. The table mirrors the gob registrations of
-// registerWireTypes (protocol.go): both paths carry exactly these
-// concrete types inside interface-typed fields.
+// Value kind tags: the concrete types an interface-typed field (an
+// mvc.Value, or an element of a nested map or slice) may carry on the
+// wire. Any other dynamic type is an encode error.
 const (
 	vNil byte = iota
 	vInt

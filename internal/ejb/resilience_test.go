@@ -114,7 +114,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// TestWireDeadlinePropagates checks the request deadline crosses the gob
+// TestWireDeadlinePropagates checks the request deadline crosses the wire
 // boundary: the component's context carries a deadline exactly when the
 // caller had one.
 func TestWireDeadlinePropagates(t *testing.T) {

@@ -8,24 +8,22 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Wire protocol v2: framed, multiplexed binary exchange.
 //
-// Handshake: the client opens with the 6-byte magic
+// Handshake: the client opens with the 6 bytes
 //
 //	0x05 'W' 'R' 'F' '2' <version>
 //
-// and the container echoes the same form back with its own version. The
-// leading 0x05 is deliberate: a legacy gob container reads it as a
-// 5-byte message length, consumes the 5 magic bytes, fails to parse
-// them as a gob type stream and drops the connection — so a new client
-// talking to an old container sees a fast EOF (not a hang) and falls
-// back to the legacy gob exchange on a fresh dial. A new container
-// peeks the first 6 bytes: magic means framed mode, anything else is a
-// legacy gob client served by the old loop.
+// and the container echoes them back. Both sides require the exact
+// bytes, version included, within handshakeTimeout: the container drops
+// a peer that sends anything else (or nothing), and the client reports
+// a missing or wrong ack as errHandshake — an ordinary transport error
+// that counts against the endpoint's breaker and fails over.
 //
 // Frames (both directions, after the handshake):
 //
@@ -46,27 +44,30 @@ const (
 	// maxFrame bounds one frame's payload; larger lengths mean a
 	// corrupt or hostile stream.
 	maxFrame = 64 << 20
+	// frameChunk is how much of a frame readFrame allocates ahead of
+	// the bytes actually read.
+	frameChunk = 64 << 10
 )
 
-// handshakeTimeout bounds the wait for the container's handshake ack
-// when the call itself carries no deadline: an old container drops the
-// connection almost instantly, so a silent peer past this is treated as
-// legacy too rather than wedging the first call.
+// handshakeTimeout bounds each side's wait for the other's handshake:
+// the client's wait for the ack (shortened further by the call
+// deadline) and the container's wait for a new connection's opening
+// bytes, so a silent peer can neither wedge a call nor pin a handler.
+// Variable for tests.
 var handshakeTimeout = 2 * time.Second
 
-var hsMagic = [5]byte{0x05, 'W', 'R', 'F', '2'}
+var handshake = [6]byte{0x05, 'W', 'R', 'F', '2', wireVersion}
 
-func handshakeBytes() []byte {
-	return []byte{hsMagic[0], hsMagic[1], hsMagic[2], hsMagic[3], hsMagic[4], wireVersion}
-}
+func handshakeBytes() []byte { return handshake[:] }
 
 func isHandshake(b []byte) bool {
-	return len(b) >= 6 && b[0] == hsMagic[0] && b[1] == hsMagic[1] &&
-		b[2] == hsMagic[2] && b[3] == hsMagic[3] && b[4] == hsMagic[4]
+	return len(b) == len(handshake) && [6]byte(b) == handshake
 }
 
-// errLegacyPeer reports that the far side does not speak wire v2.
-var errLegacyPeer = errors.New("ejb: peer speaks legacy gob protocol")
+// errHandshake reports a peer that did not complete the wire handshake:
+// it closed, stayed silent, or answered with other bytes or another
+// protocol version.
+var errHandshake = errors.New("ejb: wire handshake failed")
 
 // errConnClosed is the transport error surfaced to calls whose
 // connection died (fails all in-flight frames).
@@ -81,9 +82,16 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("ejb: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
+	// Memory follows the bytes that arrive, not the length claimed: a
+	// bare prefix must not make the reader allocate maxFrame up front.
+	buf := make([]byte, 0, min(n, frameChunk))
+	for uint64(len(buf)) < n {
+		k := int(min(n-uint64(len(buf)), frameChunk))
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(br, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
 	}
 	return buf, nil
 }
@@ -145,8 +153,8 @@ type mconn struct {
 }
 
 // framedDial opens a wire-v2 connection: TCP dial, handshake, demux
-// goroutine. A legacy peer (no ack, connection dropped, or non-magic
-// ack) returns errLegacyPeer with the connection closed.
+// goroutine. A peer that fails the handshake returns an error wrapping
+// errHandshake, with the connection closed.
 func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (*mconn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -157,21 +165,17 @@ func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (
 		ackBy = deadline
 	}
 	c.SetDeadline(ackBy) //nolint:errcheck // failure surfaces on the I/O below
-	if _, err := c.Write(handshakeBytes()); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("ejb: handshake %s: %w", addr, err)
-	}
 	var ack [6]byte
-	if _, err := io.ReadFull(c, ack[:]); err != nil {
-		// EOF / reset: an old gob container chokes on the magic and
-		// drops the connection. Timeout: it swallowed the bytes and
-		// waits for more gob — either way, legacy.
-		c.Close()
-		return nil, errLegacyPeer
+	_, err = c.Write(handshakeBytes())
+	if err == nil {
+		_, err = io.ReadFull(c, ack[:])
 	}
-	if !isHandshake(ack[:]) {
+	if err == nil && !isHandshake(ack[:]) {
+		err = fmt.Errorf("unexpected ack %x", ack)
+	}
+	if err != nil {
 		c.Close()
-		return nil, errLegacyPeer
+		return nil, fmt.Errorf("%w with %s: %w", errHandshake, addr, err)
 	}
 	c.SetDeadline(time.Time{}) //nolint:errcheck // failure surfaces on the I/O below
 	m := &mconn{
@@ -315,7 +319,7 @@ func (m *mconn) send(payload []byte, deadline time.Time) error {
 // call runs one request/response pair over the multiplexed connection.
 // A deadline expiry is a transport failure: the connection cannot tell a
 // hung container from a slow one, so it is killed and every in-flight
-// frame fails over — exactly the legacy socket-deadline semantics.
+// frame fails over, as a socket deadline would.
 func (m *mconn) call(req *request, deadline time.Time, cancel <-chan struct{}) (*response, error) {
 	id, ch, err := m.register(1)
 	if err != nil {

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,9 +27,9 @@ import (
 // ---- codec round-trips ----
 
 // fullRequest populates every request field the codec carries, including
-// every dynamic value type of the wireValueTypes table (nested maps and
-// slices, time.Time). Collections are non-empty or nil: like gob, the
-// codec normalizes empty collections to nil on decode.
+// every dynamic value type the codec tags (nested maps and
+// slices, time.Time). Collections are non-empty or nil: the codec
+// normalizes empty collections to nil on decode.
 func fullRequest() *request {
 	return &request{
 		Kind: "unit",
@@ -258,51 +261,7 @@ func FuzzCodecResponse(f *testing.F) {
 	})
 }
 
-// ---- protocol negotiation / mixed versions ----
-
-// gobOnlyServer simulates a container that predates wire v2: a plain gob
-// request/response loop with no handshake detection — the leading 0x05
-// of a v2 handshake reads as a bogus 5-byte gob message and kills the
-// connection, exactly like the legacy container code did.
-func gobOnlyServer(t *testing.T, b mvc.Business) string {
-	t.Helper()
-	registerWireTypes()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := &response{}
-					bean, err := b.ComputeUnit(context.Background(), req.Descriptor, req.Inputs)
-					if err != nil {
-						resp.Err = err.Error()
-					} else {
-						resp.Bean = bean
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
+// ---- handshake ----
 
 func echoBusiness() mvc.Business {
 	return &funcBusiness{
@@ -316,9 +275,21 @@ func echoBusiness() mvc.Business {
 	}
 }
 
-// TestFramedNegotiation: a default client against a current container
-// must actually use the framed transport (frames flow, the legacy pool
-// stays empty).
+// handshakeSlack is the scheduling allowance on top of handshakeTimeout
+// in the handshake tests' timing assertions.
+const handshakeSlack = 500 * time.Millisecond
+
+// shortenHandshake sets handshakeTimeout for one test and restores it
+// afterwards. Call it before starting any container or client.
+func shortenHandshake(t *testing.T, d time.Duration) {
+	old := handshakeTimeout
+	handshakeTimeout = d
+	t.Cleanup(func() { handshakeTimeout = old })
+}
+
+// TestFramedNegotiation: a client against a container completes the
+// handshake and carries its calls as frames over a tracked multiplexed
+// connection.
 func TestFramedNegotiation(t *testing.T) {
 	_, client, _, art := startApp(t, 4)
 	d := art.Repo.Unit("volumeData")
@@ -329,86 +300,236 @@ func TestFramedNegotiation(t *testing.T) {
 	if sent == 0 || recv == 0 {
 		t.Fatalf("framed transport unused: sent=%d recv=%d", sent, recv)
 	}
-	h := client.Health()
-	if h[0].Pooled != 0 {
-		t.Fatalf("legacy gob pool used alongside framed: %+v", h[0])
-	}
-	if h[0].Conns == 0 {
+	if h := client.Health(); h[0].Conns == 0 {
 		t.Fatalf("no multiplexed connections tracked: %+v", h[0])
 	}
 }
 
-// TestNewClientOldContainer: wire negotiation against a gob-only peer
-// must fall back transparently — calls succeed over the legacy exchange
-// and batch submission degrades to per-unit calls.
-func TestNewClientOldContainer(t *testing.T) {
-	addr := gobOnlyServer(t, echoBusiness())
+// rawPeer listens on loopback and hands every accepted connection to
+// serve (closing it afterwards): a stand-in for a peer that does not
+// speak wire v2.
+func rawPeer(t *testing.T, serve func(net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				serve(c)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestHandshakeRejectsNonV2Peer: a peer that closes, stays silent, or
+// acks with the wrong magic or version fails the call with errHandshake
+// (or a timeout) within handshakeTimeout, counts a breaker failure, and
+// lets a unit read fail over to a healthy second container.
+func TestHandshakeRejectsNonV2Peer(t *testing.T) {
+	shortenHandshake(t, 300*time.Millisecond)
+	ackWith := func(ack []byte) func(net.Conn) {
+		return func(c net.Conn) {
+			var hs [6]byte
+			if _, err := io.ReadFull(c, hs[:]); err != nil {
+				return
+			}
+			c.Write(ack)           //nolint:errcheck
+			io.Copy(io.Discard, c) //nolint:errcheck // hold the connection open
+		}
+	}
+	cases := []struct {
+		name  string
+		serve func(net.Conn)
+	}{
+		{"closes at once", func(net.Conn) {}},
+		{"silent", func(c net.Conn) { io.Copy(io.Discard, c) }}, //nolint:errcheck
+		{"wrong magic", ackWith([]byte{0x05, 'W', 'R', 'F', '3', wireVersion})},
+		{"wrong version", ackWith([]byte{0x05, 'W', 'R', 'F', '2', wireVersion + 1})},
+	}
+	good := NewContainer(echoBusiness(), 4)
+	goodAddr, err := good.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { good.Close() })
+	d := &descriptor.Unit{ID: "u", Kind: "data"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := rawPeer(t, tc.serve)
+			client, err := Dial(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			// The guard only keeps a regression from hanging the suite
+			// (a peer accepted by mistake would never answer the call).
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			start := time.Now()
+			_, err = client.ComputeUnit(ctx, d, nil)
+			elapsed := time.Since(start)
+			var ne net.Error
+			if !errors.Is(err, errHandshake) && !(errors.As(err, &ne) && ne.Timeout()) {
+				t.Fatalf("err = %v, want errHandshake or a timeout", err)
+			}
+			if elapsed > handshakeTimeout+handshakeSlack {
+				t.Fatalf("call took %v, handshakeTimeout is %v", elapsed, handshakeTimeout)
+			}
+			if h := client.Health(); h[0].Failures != 1 {
+				t.Fatalf("breaker failures = %d, want 1", h[0].Failures)
+			}
+
+			// The same peer first in rotation, a healthy container second:
+			// the read fails over.
+			both, err := Dial(bad, goodAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer both.Close()
+			bean, err := both.ComputeUnit(ctx, d, map[string]mvc.Value{"x": int64(5)})
+			if err != nil {
+				t.Fatalf("no failover past the bad peer: %v", err)
+			}
+			if bean.Nodes[0].Values["echo"] != int64(5) {
+				t.Fatalf("bean = %+v", bean)
+			}
+			if h := both.Health(); h[0].Failures != 1 || h[1].Failures != 0 {
+				t.Fatalf("breakers after failover: %+v", h)
+			}
+		})
+	}
+}
+
+// TestContainerDropsBadHandshake: a connection that opens with anything
+// but the v2 handshake, or with nothing, is hung up on without an ack
+// within handshakeTimeout, so it cannot hold a handler goroutine and a
+// tracked connection until Close; framed clients are still served
+// afterwards.
+func TestContainerDropsBadHandshake(t *testing.T) {
+	shortenHandshake(t, 250*time.Millisecond)
+	ctr := NewContainer(echoBusiness(), 4)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctr.Close() })
+
+	var gobReq bytes.Buffer
+	if err := gob.NewEncoder(&gobReq).Encode(&request{Kind: "unit", Descriptor: &descriptor.Unit{ID: "u", Kind: "data"}}); err != nil {
+		t.Fatal(err)
+	}
+	garbage := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(garbage)
+	cases := []struct {
+		name string
+		open []byte
+	}{
+		{"gob request", gobReq.Bytes()},
+		{"garbage", garbage},
+		{"wrong version", []byte{0x05, 'W', 'R', 'F', '2', wireVersion + 1}},
+		{"silent", nil},
+	}
+	tracked := func() int {
+		ctr.mu.Lock()
+		defer ctr.mu.Unlock()
+		return len(ctr.conns)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.open); err != nil {
+				t.Fatal(err)
+			}
+			// The container hangs up without acking (a reset is a hang-up
+			// too: it closes with the peer's bytes still unread).
+			conn.SetReadDeadline(start.Add(handshakeTimeout + handshakeSlack)) //nolint:errcheck
+			got, err := io.ReadAll(conn)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("container kept the connection open past handshakeTimeout")
+			}
+			if len(got) != 0 {
+				t.Fatalf("container answered %x to a bad handshake", got)
+			}
+			for tracked() != 0 {
+				if time.Since(start) > handshakeTimeout+handshakeSlack {
+					t.Fatalf("%d connections still tracked after %v", tracked(), time.Since(start))
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	d := &descriptor.Unit{ID: "u1", Kind: "data"}
-	bean, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(7)})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := client.ComputeUnit(context.Background(), &descriptor.Unit{ID: "u", Kind: "data"}, nil); err != nil {
+		t.Fatalf("framed client after bad peers: %v", err)
 	}
-	if bean.Nodes[0].Values["echo"] != int64(7) {
-		t.Fatalf("bean = %+v", bean)
+}
+
+// FuzzContainerFrames feeds arbitrary bytes to a container's frame loop
+// after a valid handshake over net.Pipe: readFrame, frame dispatch and
+// the call and batch decoders must never panic, and the loop must
+// return once the peer hangs up.
+func FuzzContainerFrames(f *testing.F) {
+	frame := func(ft byte, body func(*wbuf)) []byte {
+		w := getWbuf()
+		defer putWbuf(w)
+		w.byte(ft)
+		w.uvarint(1)
+		body(w)
+		return append(binary.AppendUvarint(nil, uint64(len(w.b))), w.b...)
 	}
-	if sent, _, _ := client.FrameStats(); sent != 0 {
-		t.Fatalf("frames sent to a legacy peer: %d", sent)
-	}
-	if !client.SupportsUnitBatch() {
-		t.Fatal("batch support must not depend on endpoint probing")
-	}
-	res := client.ComputeUnits(context.Background(), []mvc.UnitCall{
-		{D: d, Inputs: map[string]mvc.Value{"x": int64(1)}},
-		{D: d, Inputs: map[string]mvc.Value{"x": int64(2)}},
+	d := &descriptor.Unit{ID: "u", Kind: "data"}
+	call := frame(ftCall, func(w *wbuf) {
+		w.request(&request{Kind: "unit", Descriptor: d, Inputs: map[string]mvc.Value{"x": int64(1)}})
 	})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("batch item %d over legacy peer: %v", i, r.Err)
+	f.Add(call)
+	f.Add(frame(ftBatch, func(w *wbuf) {
+		w.batchRequest(&batchRequest{Calls: []batchCall{{SpanID: 1, Descriptor: d}, {SpanID: 2, Descriptor: d}}})
+	}))
+	f.Add(call[:len(call)-3])                    // truncated frame
+	f.Add(frame(0x7f, func(*wbuf) {}))           // unknown frame type
+	f.Add(binary.AppendUvarint(nil, maxFrame+1)) // length prefix above maxFrame
+	ctr := NewContainer(echoBusiness(), 4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		client, server := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			ctr.serveConn(server)
+		}()
+		// Drain the ack and any replies so the container's writers never
+		// block on the unbuffered pipe.
+		go io.Copy(io.Discard, client) //nolint:errcheck
+		if _, err := client.Write(handshakeBytes()); err != nil {
+			t.Fatalf("handshake: %v", err)
 		}
-		if r.Bean.Nodes[0].Values["echo"] != int64(i+1) {
-			t.Fatalf("batch item %d = %+v", i, r.Bean)
+		client.Write(data) //nolint:errcheck // the container may drop a bad stream mid-write
+		client.Close()
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatal("frame loop still running after the peer closed")
 		}
-	}
-}
-
-// TestOldClientNewContainer: a gob-pinned client (standing in for an old
-// binary) against a current container must work via the container's
-// protocol sniff.
-func TestOldClientNewContainer(t *testing.T) {
-	_, client, _, art := startApp(t, 4)
-	client.Wire = WireGob
-	d := art.Repo.Unit("volumeData")
-	bean, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"volume": int64(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bean.Nodes) != 1 {
-		t.Fatalf("bean = %+v", bean)
-	}
-	if sent, _, _ := client.FrameStats(); sent != 0 {
-		t.Fatalf("gob-pinned client sent %d frames", sent)
-	}
-}
-
-// TestWireFramedStrictRejectsLegacyPeer: Wire=framed must surface a
-// legacy peer as an error instead of silently downgrading.
-func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
-	addr := gobOnlyServer(t, echoBusiness())
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	client.Wire = WireFramed
-	_, err = client.ComputeUnit(context.Background(), &descriptor.Unit{ID: "u", Kind: "data"}, nil)
-	if !errors.Is(err, errLegacyPeer) {
-		t.Fatalf("err = %v, want errLegacyPeer", err)
-	}
+	})
 }
 
 // ---- level batching ----
@@ -446,7 +567,6 @@ func TestBatchComputeUnits(t *testing.T) {
 // TestBatchItemErrorIsolated: one failing unit must not poison its level
 // peers, and its error keeps the remote-call shape.
 func TestBatchItemErrorIsolated(t *testing.T) {
-	registerWireTypes()
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			if d.ID == "bad" {
@@ -481,7 +601,6 @@ func TestBatchItemErrorIsolated(t *testing.T) {
 // TestBatchFailoverMidKill: a batch whose connection dies mid-flight
 // must re-submit only the unanswered items to the next container.
 func TestBatchFailoverMidKill(t *testing.T) {
-	registerWireTypes()
 	var calls1 atomic.Int64
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -556,7 +675,6 @@ func TestBatchFailoverMidKill(t *testing.T) {
 // calls on it, or count a breaker failure — the container did nothing
 // wrong; the frame is merely deregistered.
 func TestCancelDoesNotKillSharedConn(t *testing.T) {
-	registerWireTypes()
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
 	ctr := NewContainer(&funcBusiness{
@@ -612,7 +730,6 @@ func TestCancelDoesNotKillSharedConn(t *testing.T) {
 // the level-batched path — canceling a batch deregisters its frame but
 // leaves the connection and breaker untouched.
 func TestBatchCancelKeepsConnHealthy(t *testing.T) {
-	registerWireTypes()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	ctr := NewContainer(&funcBusiness{
@@ -669,7 +786,6 @@ func TestBatchCancelKeepsConnHealthy(t *testing.T) {
 // not complete the batch with a silently missing bean (Bean == nil,
 // Err == nil).
 func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
-	registerWireTypes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -725,63 +841,45 @@ func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
 	}
 }
 
-// TestLegacyHintExpires: a legacy handshake verdict must not pin the
-// endpoint to gob forever — past legacyHintTTL the next call re-probes
-// wire v2 (a transiently slow v2 container recovers; a real gob peer
-// just re-learns the hint and keeps working over the fallback).
-func TestLegacyHintExpires(t *testing.T) {
-	addr := gobOnlyServer(t, echoBusiness())
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+// TestWireFrameAllocatesAsBytesArrive: readFrame reassembles a frame
+// larger than one allocation chunk intact, and a bare length prefix
+// near maxFrame with nothing behind it costs far less than maxFrame.
+func TestWireFrameAllocatesAsBytesArrive(t *testing.T) {
+	payload := make([]byte, 3*frameChunk+17)
+	for i := range payload {
+		payload[i] = byte(i % 251)
 	}
-	defer client.Close()
-	d := &descriptor.Unit{ID: "u", Kind: "data"}
-	if _, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(1)}); err != nil {
-		t.Fatal(err)
+	stream := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+	got, err := readFrame(bufio.NewReader(bytes.NewReader(stream)))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("multi-chunk frame: err=%v, intact=%v", err, bytes.Equal(got, payload))
 	}
-	ep := client.endpoints[0]
-	ep.mu.Lock()
-	hinted := ep.legacyHint
-	ep.mu.Unlock()
-	if !hinted {
-		t.Fatal("legacy peer not hinted after the probe")
+
+	br := bufio.NewReader(bytes.NewReader(binary.AppendUvarint(nil, maxFrame)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readFrame(br); err == nil {
+		t.Fatal("truncated frame read without error")
 	}
-	if client.useFramed(ep) {
-		t.Fatal("fresh legacy hint not honored")
-	}
-	// Age the hint past the TTL: the transport decision must re-probe.
-	ep.mu.Lock()
-	ep.legacyAt = time.Now().Add(-2 * legacyHintTTL)
-	ep.mu.Unlock()
-	if !client.useFramed(ep) {
-		t.Fatal("expired legacy hint still pins the endpoint to gob")
-	}
-	// The re-probe against the still-legacy peer falls back again and the
-	// call succeeds.
-	if _, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(2)}); err != nil {
-		t.Fatalf("call after hint expiry: %v", err)
-	}
-	ep.mu.Lock()
-	rehinted := ep.legacyHint
-	ep.mu.Unlock()
-	if !rehinted {
-		t.Fatal("re-probe did not re-learn the legacy hint")
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("bare length prefix allocated %d bytes", n)
 	}
 }
 
-// ---- satellite: stale socket deadlines on reused legacy connections ----
+// ---- stale write deadlines on a reused connection ----
 
-// TestReusedGobConnDeadlineCleared: a budgeted call followed by an
-// unbudgeted slow call on the same pooled gob connection must not
-// inherit the first call's socket deadline.
-func TestReusedGobConnDeadlineCleared(t *testing.T) {
-	registerWireTypes()
+// TestReusedWireConnDeadlineCleared: a budgeted call, then — after its
+// deadline has passed — an unbudgeted call slower than that budget, on
+// the same multiplexed connection. The second call must not inherit the
+// first call's socket write deadline: it succeeds on the original
+// connection, with no generation retired.
+func TestReusedWireConnDeadlineCleared(t *testing.T) {
 	var slow atomic.Bool
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			if slow.Load() {
-				time.Sleep(400 * time.Millisecond)
+				time.Sleep(300 * time.Millisecond)
 			}
 			return &mvc.UnitBean{UnitID: d.ID}, nil
 		},
@@ -796,31 +894,37 @@ func TestReusedGobConnDeadlineCleared(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.Wire = WireGob // the pooled-connection path under test
+	client.ConnsPerEndpoint = 1
 	d := &descriptor.Unit{ID: "u", Kind: "data"}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if _, err := client.ComputeUnit(ctx, d, nil); err != nil {
 		t.Fatal(err)
 	}
-	// The second call reuses the pooled connection, carries no budget,
-	// and completes well after the first call's absolute deadline. A
-	// stale socket deadline would fail it around the 200ms mark.
+	ep := client.eps()[0]
+	ep.mu.Lock()
+	first := ep.mconns[0]
+	ep.mu.Unlock()
+	// Past the first call's absolute deadline, a write deadline left on
+	// the socket would fail the next frame's send at once.
+	<-ctx.Done()
 	slow.Store(true)
 	if _, err := client.ComputeUnit(context.Background(), d, nil); err != nil {
 		t.Fatalf("unbudgeted call on reused connection: %v", err)
 	}
-	if h := client.Health(); h[0].Pooled == 0 {
-		t.Fatal("test did not exercise the pooled path")
+	ep.mu.Lock()
+	conns, gen := ep.mconns, ep.gen
+	ep.mu.Unlock()
+	if len(conns) != 1 || conns[0] != first || gen != 0 {
+		t.Fatalf("second call left the first connection (conns=%d, generation=%d)", len(conns), gen)
 	}
 }
 
 // TestManyInFlightOnOneConn: the multiplexed transport must carry many
 // concurrent calls over a single connection budget without serializing
-// them (the legacy path would need one pooled connection each).
+// them.
 func TestManyInFlightOnOneConn(t *testing.T) {
-	registerWireTypes()
 	var peak atomic.Int64
 	var cur atomic.Int64
 	ctr := NewContainer(&funcBusiness{
@@ -877,7 +981,6 @@ func TestManyInFlightOnOneConn(t *testing.T) {
 
 func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descriptor.Unit) {
 	b.Helper()
-	registerWireTypes()
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: "data",
@@ -897,18 +1000,6 @@ func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descrip
 	client.Latency = latency
 	return client, &descriptor.Unit{ID: "u", Kind: "data",
 		Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}}}
-}
-
-func BenchmarkRemoteUnitGob(b *testing.B) {
-	client, d := benchClient(b, 0)
-	client.Wire = WireGob
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.ComputeUnit(ctx, d, map[string]mvc.Value{"x": int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkRemoteUnitFramed(b *testing.B) {
@@ -956,12 +1047,6 @@ func benchLevel(b *testing.B, client *RemoteBusiness, d *descriptor.Unit, batch 
 			}
 		}
 	}
-}
-
-func BenchmarkRemoteLevelGob(b *testing.B) {
-	client, d := benchClient(b, 0)
-	client.Wire = WireGob
-	benchLevel(b, client, d, false)
 }
 
 func BenchmarkRemoteLevelFramedNoBatch(b *testing.B) {

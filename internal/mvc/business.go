@@ -22,7 +22,7 @@ import (
 //
 // Every call carries the request context: the controller derives a
 // per-request deadline and each tier below (worker pool, bean cache,
-// gob client) observes it, so a hung container can never wedge a
+// EJB client) observes it, so a hung container can never wedge a
 // servlet worker past the request budget.
 type Business interface {
 	// ComputeUnit produces the unit bean for a descriptor and inputs.
