@@ -3,8 +3,11 @@ package webmlgo
 import (
 	"context"
 	"fmt"
+	"html"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -403,5 +406,51 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	_, body := request(t, app.Handler(), "/page/volumesPage", "")
 	if !strings.Contains(body, "G7I39") {
 		t.Fatal("final state not visible")
+	}
+}
+
+// TestSearchWildcardMetacharactersMatchLiterally: the keyword search
+// wraps the user's text as %text%, and a % or _ typed by the user must
+// match itself, not act as a wildcard. The scroller's count and its
+// page rows come from two queries and must agree.
+func TestSearchWildcardMetacharactersMatchLiterally(t *testing.T) {
+	app := newApp(t)
+	for _, title := range []string{
+		"100% Recall Indexes", "1000 Queries Later",
+		"snake_case Schemas", "snakeXcase Schemas", `Back\slash Paths`,
+	} {
+		if _, err := app.DB.Exec(`INSERT INTO paper (title, pages, fk_issuetopaper) VALUES (?, ?, ?)`, title, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scroller := regexp.MustCompile(`(?s)data-unit="searchIndex"><div class="webml-scroller-info">\d+-\d+ of (\d+)</div><ol>(.*?)</ol>`)
+	for _, c := range []struct {
+		kw   string
+		want []string
+	}{
+		{"_", []string{"snake_case Schemas"}},
+		{"%", []string{"100% Recall Indexes"}},
+		{"100%", []string{"100% Recall Indexes"}},
+		{"snake_case", []string{"snake_case Schemas"}},
+		{`\`, []string{`Back\slash Paths`}},
+		{"Schemas", []string{"snakeXcase Schemas", "snake_case Schemas"}},
+	} {
+		rr, body := request(t, app.Handler(), "/page/searchResults?kw="+url.QueryEscape(c.kw), "")
+		if rr.Code != http.StatusOK {
+			t.Fatalf("kw=%q: status %d", c.kw, rr.Code)
+		}
+		m := scroller.FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("kw=%q: no scroller in\n%s", c.kw, body)
+		}
+		items := strings.Count(m[2], "<li>")
+		if m[1] != fmt.Sprint(len(c.want)) || items != len(c.want) {
+			t.Fatalf("kw=%q: count %s, %d rows, want %d:\n%s", c.kw, m[1], items, len(c.want), m[2])
+		}
+		for _, title := range c.want {
+			if !strings.Contains(m[2], html.EscapeString(title)) {
+				t.Fatalf("kw=%q: missing %q in\n%s", c.kw, title, m[2])
+			}
+		}
 	}
 }

@@ -210,7 +210,7 @@ func (a *App) renderUnitInline(b *strings.Builder, d *descriptor.Unit, anchors [
 			return
 		}
 		if p.Wildcard {
-			v = "%" + mvc.FormatParam(v) + "%"
+			v = "%" + rdb.EscapeLike(mvc.FormatParam(v)) + "%"
 		}
 		args = append(args, v)
 	}

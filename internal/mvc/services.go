@@ -91,7 +91,8 @@ func CoreOperationServices() map[string]OperationService {
 }
 
 // bindArgs resolves a descriptor's declared inputs against the supplied
-// parameter map, applying wildcard wrapping. It reports ok=false when a
+// parameter map, applying wildcard wrapping; the user's own % and _ are
+// escaped, so the text matches literally. It reports ok=false when a
 // parameter is absent (the unit then renders empty rather than erroring:
 // a page reached without context shows no content, as in WebML).
 func bindArgs(d *descriptor.Unit, params []descriptor.ParamDef, inputs map[string]Value) ([]rdb.Value, bool) {
@@ -102,7 +103,7 @@ func bindArgs(d *descriptor.Unit, params []descriptor.ParamDef, inputs map[strin
 			return nil, false
 		}
 		if p.Wildcard {
-			args[i] = "%" + FormatParam(v) + "%"
+			args[i] = "%" + rdb.EscapeLike(FormatParam(v)) + "%"
 			continue
 		}
 		args[i] = v

@@ -30,6 +30,8 @@ type execStats struct {
 	joins     []opCounters
 	filterIn  int64 // rows reaching the WHERE filter
 	filterOut int64 // rows surviving it
+	keyIn     int64 // index entries reaching the key filter
+	keyOut    int64 // entries whose rows were fetched
 	output    int64 // rows in the final result (after sort/limit)
 	total     time.Duration
 }
@@ -39,7 +41,8 @@ func newExecStats(p *SelectPlan) *execStats {
 }
 
 // pathLabel names the access path compactly for span labels:
-// scan | pk | unique | hash | range | ordered | composite.
+// scan | pk | unique | hash | range | ordered | composite | snap-pk |
+// interp.
 func (a *accessPath) pathLabel() string {
 	switch a.kind {
 	case accessPK:
@@ -57,6 +60,8 @@ func (a *accessPath) pathLabel() string {
 		return "composite"
 	case accessSnapPK:
 		return "snap-pk"
+	case accessInterp:
+		return "interp"
 	}
 	return "scan"
 }
@@ -85,17 +90,11 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats) string {
 	switch a.kind {
 	case accessScan:
 		fmt.Fprintf(&b, "SCAN %s (%d rows)", p.baseTable, p.base.alive)
-		if es != nil {
-			fmt.Fprintf(&b, " (actual %d rows, %s)", es.base.rowsOut, fmtOpTime(es.base.elapsed))
-		}
 	case accessRange:
 		if a.orderWalk {
 			fmt.Fprintf(&b, "ACCESS %s BY ORDERED INDEX ON %s (est %.0f rows)", p.baseTable, a.col, a.est)
 		} else {
 			fmt.Fprintf(&b, "ACCESS %s BY RANGE ON %s (est %.0f rows)", p.baseTable, a.col, a.est)
-		}
-		if es != nil {
-			fmt.Fprintf(&b, " (actual %d rows, %d probes, %s)", es.base.rowsOut, es.base.probes, fmtOpTime(es.base.elapsed))
 		}
 	case accessComposite:
 		fmt.Fprintf(&b, "ACCESS %s BY COMPOSITE INDEX %s (%s) eq prefix %d",
@@ -104,13 +103,25 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats) string {
 			fmt.Fprintf(&b, ", range on %s", a.rangeCol)
 		}
 		fmt.Fprintf(&b, " (est %.0f rows)", a.est)
-		if es != nil {
-			fmt.Fprintf(&b, " (actual %d rows, %d probes, %s)", es.base.rowsOut, es.base.probes, fmtOpTime(es.base.elapsed))
-		}
+	case accessInterp:
+		fmt.Fprintf(&b, "ACCESS %s AS INTERPRETED (est %.0f rows)", p.baseTable, a.est)
 	default:
 		fmt.Fprintf(&b, "ACCESS %s BY %s ON %s (est %.0f rows)", p.baseTable, a.label, a.col, a.est)
-		if es != nil {
+	}
+	if p.driver != 0 {
+		b.WriteString(" (reordered driver)")
+	}
+	if es != nil {
+		if a.kind == accessScan {
+			fmt.Fprintf(&b, " (actual %d rows, %s)", es.base.rowsOut, fmtOpTime(es.base.elapsed))
+		} else {
 			fmt.Fprintf(&b, " (actual %d rows, %d probes, %s)", es.base.rowsOut, es.base.probes, fmtOpTime(es.base.elapsed))
+		}
+	}
+	if p.keyFilter {
+		fmt.Fprintf(&b, "\nKEY FILTER ON %s", p.base.cols[p.keyCol].def.Name)
+		if es != nil {
+			fmt.Fprintf(&b, " (actual in %d, out %d)", es.keyIn, es.keyOut)
 		}
 	}
 	for i := range p.joins {

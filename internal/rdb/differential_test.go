@@ -32,6 +32,17 @@ func diffSeed(t testing.TB, db *DB) *DB {
 			('ann', 30, 5, 1), ('bob', 20, NULL, 1), ('cat', 25, 2, 2),
 			('dan', 20, 1, NULL), ('eve', 20, 3, 2), ('fay', 45, NULL, 1),
 			('gus', 25, 0, 3), ('hal', 30, 2, 1)`,
+		// A bridge table with an index on each end: the shape of a
+		// generated N:M relationship, for the join-driver choice.
+		`CREATE TABLE skill (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL, level INTEGER)`,
+		`CREATE TABLE emp_skill (oid INTEGER PRIMARY KEY AUTOINCREMENT, emp_oid INTEGER NOT NULL, skill_oid INTEGER NOT NULL)`,
+		`CREATE INDEX ies_emp ON emp_skill(emp_oid)`,
+		`CREATE INDEX ies_skill ON emp_skill(skill_oid)`,
+		`CREATE ORDERED INDEX ist ON skill(title)`,
+		`INSERT INTO skill (title, level) VALUES ('go', 3), ('sql', 2), ('web', 2), ('ops', NULL), ('100%', 1), ('a_b', 2)`,
+		`INSERT INTO emp_skill (emp_oid, skill_oid) VALUES
+			(1, 1), (1, 2), (2, 2), (3, 1), (3, 3), (4, 5),
+			(5, 2), (6, 6), (7, 1), (8, 2), (1, 4), (2, 6)`,
 	}
 	for _, s := range setup {
 		if _, err := db.Exec(s); err != nil {
@@ -100,6 +111,31 @@ var diffCorpus = []struct {
 	{`SELECT ghost FROM emp`, nil},
 	{`SELECT name FROM emp WHERE ghost = 1`, nil},
 	{`SELECT e.name FROM emp e ORDER BY d.name`, nil},
+	// Join driver chosen by cost: bridge lookup, FK on the parent, a
+	// three-way chain, scalar aggregates over a join, a '*' projection.
+	{`SELECT s.oid, s.title FROM skill s JOIN emp_skill es ON es.skill_oid = s.oid WHERE es.emp_oid = ? ORDER BY s.oid`, []Value{1}},
+	{`SELECT * FROM skill s JOIN emp_skill es ON es.skill_oid = s.oid WHERE es.emp_oid = 2 ORDER BY es.oid, s.oid`, nil},
+	{`SELECT d.oid, d.name FROM dept d JOIN emp e ON e.dept_oid = d.oid WHERE e.oid = ? ORDER BY d.oid`, []Value{3}},
+	{`SELECT e.oid, e.name, s.title FROM emp e JOIN emp_skill es ON es.emp_oid = e.oid JOIN skill s ON s.oid = es.skill_oid WHERE s.oid = ? ORDER BY e.oid, s.oid`, []Value{2}},
+	{`SELECT COUNT(*) FROM skill s JOIN emp_skill es ON es.skill_oid = s.oid WHERE es.emp_oid = 1`, nil},
+	{`SELECT COUNT(s.level), MIN(s.title), MAX(s.oid), SUM(s.level) FROM skill s JOIN emp_skill es ON es.skill_oid = s.oid WHERE es.emp_oid = ?`, []Value{1}},
+	// Orders the result can show: these keep FROM order and must match.
+	{`SELECT s.title, s.level FROM skill s JOIN emp_skill es ON es.skill_oid = s.oid WHERE es.emp_oid = 1 ORDER BY s.level`, nil},
+	{`SELECT s.oid, es.emp_oid FROM skill s LEFT JOIN emp_skill es ON es.skill_oid = s.oid WHERE es.emp_oid = 1 ORDER BY s.oid, es.oid`, nil},
+	// Key-filtered ordered-index walks, with and without ORDER BY, and
+	// escaped wildcards.
+	{`SELECT oid, title FROM skill WHERE title LIKE ? ORDER BY title LIMIT 2`, []Value{"%o%"}},
+	{`SELECT name FROM emp WHERE name LIKE '%a%' ORDER BY name DESC`, nil},
+	{`SELECT name FROM emp WHERE name > 'b' AND name LIKE '%a%'`, nil},
+	{`SELECT COUNT(*) FROM emp WHERE name LIKE ?`, []Value{"%a%"}},
+	{`SELECT COUNT(*) FROM skill WHERE title LIKE ?`, []Value{"%\\_%"}},
+	{`SELECT title FROM skill WHERE title LIKE ? ORDER BY title`, []Value{"%\\%%"}},
+	{`SELECT COUNT(*) FROM emp WHERE name LIKE 5`, nil},
+	// Conditions that fail for a reason other than data visit exactly
+	// the interpreter's rows: no narrower index path, no LIMIT stop.
+	{`SELECT name FROM emp WHERE dept_oid = 1 AND ghost * 0 AND salary < 0`, nil},
+	{`SELECT name FROM emp WHERE oid = 1 OR ghost = 1 LIMIT 1`, nil},
+	{`SELECT oid = 1 OR LOWER(salary) = 'x' FROM emp LIMIT 1`, nil},
 }
 
 func rowsExact(r *Rows) string {

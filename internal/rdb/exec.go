@@ -283,36 +283,54 @@ func toFloat(v Value) (float64, error) {
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards using an
-// iterative two-pointer scan. On a mismatch past a %, the pattern
-// rewinds to just after the most recent % and the text restarts one
-// byte later — each position is retried at most once per %, so matching
-// is O(len(s) * len(pattern)) where the naive recursive formulation is
-// exponential on patterns like "%a%a%a%b" against a long run of 'a's.
+// iterative two-pointer scan. A backslash makes the next pattern byte
+// literal (\%, \_, \\), which is how EscapeLike quotes user text. On a
+// mismatch past a %, the pattern rewinds to just after the most recent
+// % and the text restarts one byte later — each position is retried at
+// most once per %, so matching is O(len(s) * len(pattern)) where the
+// naive recursive formulation is exponential on patterns like
+// "%a%a%a%b" against a long run of 'a's.
 func likeMatch(s, pattern string) bool {
 	var si, pi int
 	star, match := -1, 0 // position after the last %, text position it matched at
 	for si < len(s) {
-		switch {
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi + 1
-			match = si
-			pi++
-		case pi < len(pattern) && (pattern[pi] == '_' || equalFoldByte(pattern[pi], s[si])):
-			si++
-			pi++
-		case star >= 0:
-			match++
-			si = match
-			pi = star
-		default:
+		if pi < len(pattern) {
+			pc, width := pattern[pi], 1
+			if pc == '\\' && pi+1 < len(pattern) {
+				pc, width = pattern[pi+1], 2
+			}
+			switch {
+			case width == 1 && pc == '%':
+				star = pi + 1
+				match = si
+				pi++
+				continue
+			case (width == 1 && pc == '_') || equalFoldByte(pc, s[si]):
+				si++
+				pi += width
+				continue
+			}
+		}
+		if star < 0 {
 			return false
 		}
+		match++
+		si = match
+		pi = star
 	}
 	for pi < len(pattern) && pattern[pi] == '%' {
 		pi++
 	}
 	return pi == len(pattern)
 }
+
+// likeEscaper quotes the two LIKE wildcards and the escape byte itself.
+var likeEscaper = strings.NewReplacer(`\`, `\\`, `%`, `\%`, `_`, `\_`)
+
+// EscapeLike quotes s so that it matches itself literally inside a LIKE
+// pattern: a search for "100%" or "a_b" must not treat the user's % and
+// _ as wildcards.
+func EscapeLike(s string) string { return likeEscaper.Replace(s) }
 
 func equalFoldByte(a, b byte) bool {
 	if a == b {

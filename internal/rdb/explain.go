@@ -6,9 +6,11 @@ import (
 )
 
 // Explain renders the compiled physical plan of a SELECT statement
-// without executing it: the chosen access path of the base table with
-// its cost estimate, the strategy of each join, and whether ORDER BY is
-// satisfied by index order or needs a sort. The data expert overriding
+// without executing it: the chosen access path of the driving table
+// with its cost estimate (marked when the planner reordered the join),
+// the key filter on an ordered walk, the strategy of each join in
+// nesting order, and whether ORDER BY is satisfied by index order or
+// needs a sort. The data expert overriding
 // a descriptor query (Section 6) uses it to check that the hand-tuned
 // SQL actually hits an index. The output reflects the exact plan Query
 // executes — both go through planFor — and the trailing PLAN: line

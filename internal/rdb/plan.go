@@ -26,6 +26,7 @@ const (
 	accessRange                     // ordered-index range scan (single column)
 	accessComposite                 // composite-index prefix/range scan
 	accessSnapPK                    // record-store point fetch at a snapshot sequence
+	accessInterp                    // the interpreter's own candidate rows (candidateIDsQualified)
 )
 
 // boundCand is one not-yet-evaluated range bound; the tightest bound is
@@ -67,9 +68,12 @@ const (
 
 // joinPlan is one join operator: an indexed equi-join probing the new
 // table by a key computed from the outer frames, or a nested loop.
+// Operators nest in slice order; frame is the plan frame each binds,
+// which differs from its position when the join driver was reordered.
 type joinPlan struct {
 	left         bool
 	tbl          *table
+	frame        int
 	displayTable string
 	kind         joinKind
 	col          string // display: probed column (original case)
@@ -78,7 +82,7 @@ type joinPlan struct {
 	uniqMap      map[Value]int
 	comp         *compositeIndex
 	outer        compiledExpr // evaluated over the outer frames
-	on           compiledExpr // full ON condition over outer + new frame
+	on           compiledExpr // ON condition(s) checked at this level; nil when none
 	estRows      int          // plan-time row count, for EXPLAIN
 }
 
@@ -116,13 +120,20 @@ type SelectPlan struct {
 	epoch     uint64
 	sizes     []tableSize
 	frames    []planFrame
-	base      *table
-	baseTable string // display name (From.Table)
+	driver    int    // frame the access path feeds: 0 unless joins were reordered
+	base      *table // the driver frame's table
+	baseTable string // display name of the driver table
 	access    accessPath
 	joins     []joinPlan
 	where     compiledExpr // nil when no WHERE
+	// keyFilter: the WHERE reads only column keyCol of the walked
+	// ordered index, so entries are filtered on their key before the
+	// row is fetched.
+	keyFilter bool
+	keyCol    int
 	aggregate bool
 	distinct  bool
+	fullVisit bool // visit every candidate row: no LIMIT pushdown
 
 	// Non-aggregate projection and ordering:
 	cols      []string // output columns when rows survive the WHERE
@@ -172,7 +183,7 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 	// when no sort (or an index-order scan) and no DISTINCT reshuffle.
 	// A star projection still needs one row to expand column names.
 	stopAt := int64(-1)
-	if hasLimit && !p.distinct && !needSort {
+	if hasLimit && !p.distinct && !needSort && !p.fullVisit {
 		stopAt = offset + limit
 		if p.hasStar && stopAt == 0 {
 			stopAt = 1
@@ -221,7 +232,7 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 		return nil
 	}
 	baseEach := func(r Row) error {
-		c.rows[0] = r
+		c.rows[p.driver] = r
 		return db.joinStep(p, c, 0, emit)
 	}
 	if c.stats != nil {
@@ -297,7 +308,7 @@ func (db *DB) execPlanAggregate(p *SelectPlan, args []Value, es *execStats) (*Ro
 		return nil
 	}
 	baseEach := func(r Row) error {
-		c.rows[0] = r
+		c.rows[p.driver] = r
 		return db.joinStep(p, c, 0, emit)
 	}
 	var err error
@@ -474,10 +485,18 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 			c.stats.base.probes++
 		}
 		start, end := a.ord.bounds(lo, hi)
+		var keep func(Value) bool
+		if p.keyFilter {
+			key := make(Row, len(t.cols))
+			keep = func(v Value) bool { return p.keyPass(c, key, v) }
+		}
 		if a.reverse {
-			return iterOrderedReverse(a.ord.entries, start, end, t, each)
+			return iterOrderedReverse(a.ord.entries, start, end, t, keep, each)
 		}
 		for _, e := range a.ord.entries[start:end] {
+			if keep != nil && !keep(e.val) {
+				continue
+			}
 			if r := t.rowAt(e.id); r != nil {
 				if err := each(r); err != nil {
 					return err
@@ -524,6 +543,19 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 			}
 		}
 		return nil
+	case accessInterp:
+		ids, err := candidateIDsQualified(t, p.stmt.From.name(), p.stmt.Where, c.args, len(p.joins) > 0)
+		if err != nil {
+			return err
+		}
+		for _, id := range ids {
+			if r := t.rowAt(id); r != nil {
+				if err := each(r); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	case accessSnapPK:
 		// Snapshot point read: the frozen view carries no pkMap, but an
 		// int-keyed table addresses its record store directly by primary
@@ -548,10 +580,29 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 	return db.scanAll(t, each)
 }
 
+// keyPass evaluates the WHERE on an ordered-index entry's key alone —
+// p.keyCol is the only column it reads — and reports whether the row
+// may qualify: false only when the result is definitely not true. An
+// evaluation error passes, so the fetched row reproduces it exactly.
+func (p *SelectPlan) keyPass(c *execCtx, key Row, v Value) bool {
+	key[p.keyCol] = v
+	c.rows[p.driver] = key
+	res, err := p.where(c)
+	pass := err != nil || truthy(res)
+	if c.stats != nil {
+		c.stats.keyIn++
+		if pass {
+			c.stats.keyOut++
+		}
+	}
+	return pass
+}
+
 // iterOrderedReverse walks entries[start:end] back to front by
 // equal-value group, emitting each group in forward (ascending row-id)
-// order — the exact row order a stable descending sort produces.
-func iterOrderedReverse(entries []ordEntry, start, end int, t *table, each func(Row) error) error {
+// order — the exact row order a stable descending sort produces. Entries
+// keep rejects (nil keeps all) are skipped without fetching their rows.
+func iterOrderedReverse(entries []ordEntry, start, end int, t *table, keep func(Value) bool, each func(Row) error) error {
 	i := end
 	for i > start {
 		j := i
@@ -559,6 +610,9 @@ func iterOrderedReverse(entries []ordEntry, start, end int, t *table, each func(
 			j--
 		}
 		for k := j; k < i; k++ {
+			if keep != nil && !keep(entries[k].val) {
+				continue
+			}
 			if r := t.rowAt(entries[k].id); r != nil {
 				if err := each(r); err != nil {
 					return err
@@ -615,16 +669,18 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 		return emit()
 	}
 	j := &p.joins[ji]
-	fi := ji + 1
+	fi := j.frame
 	matched := false
 	try := func(r Row) error {
 		c.rows[fi] = r
-		v, err := j.on(c)
-		if err != nil {
-			return err
-		}
-		if !truthy(v) {
-			return nil
+		if j.on != nil {
+			v, err := j.on(c)
+			if err != nil {
+				return err
+			}
+			if !truthy(v) {
+				return nil
+			}
 		}
 		matched = true
 		if c.stats != nil {

@@ -246,60 +246,66 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 		}
 	}
 
-	requireQualified := len(sel.Joins) > 0
-	eqs := collectEq(sel.Where, base, sel.From.name(), requireQualified)
-	ranges := collectRanges(sel.Where, base, sel.From.name(), requireQualified)
-	eqByCol := map[string]eqConjunct{}
-	for _, eq := range eqs {
-		eqByCol[eq.colLower] = eq
-	}
-	rangeByCol := map[string]*rangeConjunct{}
-	for _, rc := range ranges {
-		rangeByCol[rc.colLower] = rc
-	}
-
-	p.access = db.chooseAccess(p, base, eqs, ranges, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
-
-	// Joins: prefer the interpreter's indexed equi-join (probing the new
-	// table's primary key, hash index or unique column), then a composite
-	// index whose leading column matches, then a nested loop. Snapshot
-	// frozen views carry no probe structures, so they always nest.
-	for ji, j := range sel.Joins {
-		jt := joinTables[ji]
-		jp := joinPlan{left: j.Left, tbl: jt, displayTable: j.Table.Table, estRows: jt.alive}
-		jp.on = compileExpr(j.On, p.frames[:ji+2])
-		if snap {
-			jp.kind = jkLoop
-		} else if col, outerExpr := equiJoinKey(j.On, jt, j.Table.name()); col != "" {
-			lower := strings.ToLower(col)
-			i := jt.colIdx[lower]
-			switch {
-			case i == jt.pk:
-				jp.kind = jkPK
-			case jt.indexes[lower] != nil:
-				jp.kind = jkHash
-				jp.hashIdx = jt.indexes[lower]
-			default:
-				jp.kind = jkUnique
-				jp.uniqMap = jt.uniques[lower]
-			}
-			jp.col = col
-			jp.label = accessKind(jt, col)
-			jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
-		} else if comp, outerExpr := compositeJoinKey(j.On, jt, j.Table.name()); comp != nil {
-			jp.kind = jkComposite
-			jp.comp = comp
-			jp.col = comp.colNames[0]
-			jp.label = "COMPOSITE INDEX " + comp.name
-			jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
-		} else {
-			jp.kind = jkLoop
+	// A WHERE that can fail for a reason other than data (an unknown
+	// column, a function) must fail exactly when the interpreter's does,
+	// so the plan then visits the interpreter's own candidate rows, and
+	// every one of them: LIMIT does not stop early. The same holds for a
+	// projection evaluated on rows past the limit.
+	hasOrderBy := len(sel.OrderBy) > 0
+	_, whereSafe := dataOnlyRefs(sel.Where, p.frames)
+	p.fullVisit = !whereSafe
+	for _, c := range sel.Columns {
+		if _, ok := dataOnlyRefs(c.Expr, p.frames); !ok {
+			p.fullVisit = true
 		}
-		p.joins = append(p.joins, jp)
+	}
+	if whereSafe {
+		p.access = db.chooseAccess(p, base, sel.Where, sel.From.name(), len(sel.Joins) > 0, orderEligible, orderCols, orderDesc, hasOrderBy, snap)
+		if !snap && len(sel.Joins) == 0 && p.aggregate && p.access.kind == accessScan {
+			if walk, ok := keyWalk(p, sel); ok {
+				p.access = walk
+			}
+		}
+	} else {
+		p.access = accessPath{kind: accessInterp, est: float64(base.alive)}
+	}
+
+	// Joins: unless a cheaper driver reorders them, prefer the
+	// interpreter's indexed equi-join (probing the new table's primary
+	// key, hash index or unique column), then a composite index whose
+	// leading column matches, then a nested loop. The interpreter nests
+	// where the compiled plan probes a composite index, so that probe
+	// needs an ON that fails only on data. Snapshot frozen views carry
+	// no probe structures, so they always nest in FROM order.
+	if snap || !whereSafe || !db.reorderJoins(p, sel, hasOrderBy) {
+		for ji, j := range sel.Joins {
+			jt := joinTables[ji]
+			jp := joinPlan{left: j.Left, tbl: jt, frame: ji + 1, displayTable: j.Table.Table, estRows: jt.alive}
+			jp.on = compileExpr(j.On, p.frames[:ji+2])
+			if snap {
+				jp.kind = jkLoop
+			} else if col, outerExpr := equiJoinKey(j.On, jt, j.Table.name()); col != "" {
+				jp.setProbe(col)
+				jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
+			} else if comp, outerExpr := compositeJoinKey(j.On, jt, j.Table.name()); comp != nil && onSafe(j.On, p.frames[:ji+2]) {
+				jp.setComposite(comp)
+				jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
+			} else {
+				jp.kind = jkLoop
+			}
+			p.joins = append(p.joins, jp)
+		}
 	}
 
 	if sel.Where != nil {
 		p.where = compileExpr(sel.Where, p.frames)
+		// Key filter: a WHERE that reads only the walked column is
+		// decided on the index entry, before the row is fetched.
+		if a := &p.access; a.kind == accessRange && len(sel.Joins) == 0 {
+			if ci := whereKeyColumn(sel.Where, p.frames); ci >= 0 && strings.EqualFold(base.cols[ci].def.Name, a.col) {
+				p.keyFilter, p.keyCol = true, ci
+			}
+		}
 	}
 
 	if !p.aggregate {
@@ -321,16 +327,27 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 	return p, nil
 }
 
-// chooseAccess enumerates candidate access paths for the base table and
-// picks the cheapest. Estimates: a point lookup on a key column returns
+// chooseAccess enumerates candidate access paths for one table, named
+// name in the statement, from the WHERE conjuncts and picks the
+// cheapest; with joins in play only qualified conjuncts count
+// (requireQualified). Estimates: a point lookup on a key column returns
 // one row; a hash bucket returns alive/distinct rows; a composite
 // prefix returns alive/distinctPrefixes rows (a further range predicate
 // keeps about a third of the segment); a bare range keeps about a third
 // of the table; a scan reads everything. When ORDER BY is present,
 // paths that cannot produce index order pay a doubled cost for the sort.
-func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges []*rangeConjunct,
-	eqByCol map[string]eqConjunct, rangeByCol map[string]*rangeConjunct,
+func (db *DB) chooseAccess(p *SelectPlan, base *table, where Expr, name string, requireQualified bool,
 	orderEligible bool, orderCols []string, orderDesc bool, hasOrderBy bool, snap bool) accessPath {
+	eqs := collectEq(where, base, name, requireQualified)
+	ranges := collectRanges(where, base, name, requireQualified)
+	eqByCol := map[string]eqConjunct{}
+	for _, eq := range eqs {
+		eqByCol[eq.colLower] = eq
+	}
+	rangeByCol := map[string]*rangeConjunct{}
+	for _, rc := range ranges {
+		rangeByCol[rc.colLower] = rc
+	}
 
 	alive := float64(base.alive)
 	// A point lookup costs one probe, but never more than the table
