@@ -81,6 +81,34 @@ func TestEdgeAssemblyByteIdenticalRuntimeStyle(t *testing.T) {
 	}
 }
 
+// TestRuntimeStyleWithoutDefault: a runtime styler with no default rule
+// set serves unmatched user agents the unstyled skeleton instead of
+// failing, while matched agents still get their rule set, inline and
+// edge-assembled alike.
+func TestRuntimeStyleWithoutDefault(t *testing.T) {
+	edgeApp := newApp(t, WithEdgeCache(1024, time.Minute), WithRuntimeStyle(MultiDevice(nil)))
+	defer edgeApp.Edge.Close()
+	plainApp := newApp(t, WithRuntimeStyle(MultiDevice(nil)))
+
+	const path = "/page/volumePage?volume=1"
+	rr, desktop := request(t, plainApp.Handler(), path, "Mozilla/5.0 (X11; Linux)")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("desktop status %d: %s", rr.Code, desktop)
+	}
+	if strings.Contains(desktop, "data-style") {
+		t.Fatalf("desktop page styled without a default rule set:\n%s", desktop)
+	}
+	rr, mobile := request(t, plainApp.Handler(), path, "Mozilla/5.0 (iPhone; Mobile)")
+	if rr.Code != http.StatusOK || !strings.Contains(mobile, `data-style="mobile"`) {
+		t.Fatalf("mobile status %d, page not mobile-styled:\n%s", rr.Code, mobile)
+	}
+	for ua, inline := range map[string]string{"Mozilla/5.0 (X11; Linux)": desktop, "Mozilla/5.0 (iPhone; Mobile)": mobile} {
+		if _, assembled := request(t, edgeApp.Handler(), path, ua); assembled != inline {
+			t.Fatalf("%s: edge-assembled page differs from inline rendering", ua)
+		}
+	}
+}
+
 // TestEdgeWritePurgesExactlyDependents: an operation's write event
 // purges the fragments reading the written entity and nothing else.
 func TestEdgeWritePurgesExactlyDependents(t *testing.T) {

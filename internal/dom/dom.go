@@ -1,16 +1,16 @@
 // Package dom implements a minimal XML/HTML document tree used by the
-// template-skeleton generator and the presentation rule engine.
+// template-skeleton generator, the presentation rule engine and the
+// page-template compiler of the View.
 //
 // The paper's page template skeletons are XML documents mixing plain HTML
 // markup with custom tags in the webml: namespace (Figure 7). The style
 // rules (Section 5) are tree transformations over those skeletons. This
-// package provides just enough of a DOM for both: a lenient parser, a
-// serializer, and structural matching/manipulation helpers.
+// package provides just enough of a DOM for them: a lenient parser, a
+// serializer that can cut the markup at the dynamic slots, and
+// structural matching/manipulation helpers.
 package dom
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -95,16 +95,6 @@ func (n *Node) SetAttr(name, value string) {
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
 }
 
-// RemoveAttr deletes the named attribute if present.
-func (n *Node) RemoveAttr(name string) {
-	for i := range n.Attrs {
-		if n.Attrs[i].Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return
-		}
-	}
-}
-
 // AppendChild adds c as the last child of n and sets its parent.
 func (n *Node) AppendChild(c *Node) *Node {
 	c.Parent = n
@@ -123,17 +113,6 @@ func (n *Node) InsertBefore(c, ref *Node) {
 		}
 	}
 	n.Children = append(n.Children, c)
-}
-
-// RemoveChild removes c from n's children. It is a no-op if c is not a child.
-func (n *Node) RemoveChild(c *Node) {
-	for i, ch := range n.Children {
-		if ch == c {
-			n.Children = append(n.Children[:i], n.Children[i+1:]...)
-			c.Parent = nil
-			return
-		}
-	}
 }
 
 // ReplaceWith substitutes n with repl in n's parent. It is a no-op for roots.
@@ -238,34 +217,3 @@ func ByTagPrefix(prefix string) func(*Node) bool {
 		return n.Type == ElementNode && strings.HasPrefix(n.Tag, prefix)
 	}
 }
-
-// ByAttr returns a predicate matching elements carrying attribute name=value.
-func ByAttr(name, value string) func(*Node) bool {
-	return func(n *Node) bool {
-		if n.Type != ElementNode {
-			return false
-		}
-		v, ok := n.Attr(name)
-		return ok && v == value
-	}
-}
-
-// SortedAttrNames returns the attribute names of n in sorted order. It is
-// used by tests and by canonical serialization.
-func (n *Node) SortedAttrNames() []string {
-	names := make([]string, len(n.Attrs))
-	for i, a := range n.Attrs {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the subtree as markup. It implements fmt.Stringer.
-func (n *Node) String() string {
-	var b strings.Builder
-	Serialize(&b, n)
-	return b.String()
-}
-
-var _ fmt.Stringer = (*Node)(nil)

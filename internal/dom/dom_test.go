@@ -117,16 +117,12 @@ func TestEntitiesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetRemoveAttr(t *testing.T) {
+func TestSetAttrReplacesValue(t *testing.T) {
 	n := NewElement("div")
 	n.SetAttr("class", "a")
 	n.SetAttr("class", "b")
 	if len(n.Attrs) != 1 || n.AttrOr("class", "") != "b" {
 		t.Fatalf("attrs = %v", n.Attrs)
-	}
-	n.RemoveAttr("class")
-	if len(n.Attrs) != 0 {
-		t.Fatalf("attrs after remove = %v", n.Attrs)
 	}
 }
 
@@ -142,16 +138,11 @@ func TestReplaceWith(t *testing.T) {
 	}
 }
 
-func TestInsertBeforeAndRemoveChild(t *testing.T) {
+func TestInsertBefore(t *testing.T) {
 	root := MustParse(`<div><a/><c/></div>`)
-	c := root.Find(ByTag("c"))
-	root.InsertBefore(NewElement("b"), c)
-	if root.Children[1].Tag != "b" {
-		t.Fatalf("got %s", root.String())
-	}
-	root.RemoveChild(c)
-	if len(root.Children) != 2 {
-		t.Fatalf("got %s", root.String())
+	root.InsertBefore(NewElement("b"), root.Find(ByTag("c")))
+	if got := root.String(); got != `<div><a/><b/><c/></div>` {
+		t.Fatalf("got %s", got)
 	}
 }
 
@@ -176,10 +167,19 @@ func TestFindAllByTagPrefix(t *testing.T) {
 	}
 }
 
-func TestByAttr(t *testing.T) {
-	n := MustParse(`<div><p id="a"/><p id="b"/></div>`)
-	if got := n.Find(ByAttr("id", "b")); got == nil || got.Tag != "p" {
-		t.Fatal("ByAttr lookup failed")
+func TestCutSplitsAtMatchingElements(t *testing.T) {
+	n := MustParse(`<p>a<webml:dataUnit id="1"><b/></webml:dataUnit>b<i><webml:indexUnit id="2"/></i></p>`)
+	spans, cuts := n.Cut(ByTagPrefix("webml:"))
+	want := []string{`<p>a`, `b<i>`, `</i></p>`}
+	if strings.Join(spans, "|") != strings.Join(want, "|") {
+		t.Fatalf("spans = %q, want %q", spans, want)
+	}
+	if len(cuts) != 2 || cuts[0].AttrOr("id", "") != "1" || cuts[1].AttrOr("id", "") != "2" {
+		t.Fatalf("cuts = %v", cuts)
+	}
+	// Without a match Cut is String.
+	if spans, cuts := n.Cut(ByTag("none")); len(cuts) != 0 || len(spans) != 1 || spans[0] != n.String() {
+		t.Fatalf("uncut spans = %q", spans)
 	}
 }
 

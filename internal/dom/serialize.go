@@ -1,73 +1,91 @@
 package dom
 
 import (
-	"io"
+	"fmt"
 	"strings"
 )
 
-// Serialize writes the subtree rooted at n as markup to w. The synthetic
-// "#root" wrapper produced by Parse for multi-rooted input is transparent:
-// only its children are serialized.
-func Serialize(w io.Writer, n *Node) {
-	sw := &stringWriter{w: w}
-	serialize(sw, n)
+// Cut serializes the subtree rooted at n, leaving out every element for
+// which cut returns true together with its subtree. It returns the
+// markup around those elements, one span more than there are cut
+// elements (spans[i] precedes cuts[i]), and the cut elements in document
+// order. The synthetic "#root" wrapper produced by Parse for
+// multi-rooted input is transparent: only its children are serialized.
+func (n *Node) Cut(cut func(*Node) bool) (spans []string, cuts []*Node) {
+	s := serializer{cut: cut}
+	s.node(n)
+	return append(s.spans, s.b.String()), s.cuts
 }
 
-type stringWriter struct {
-	w io.Writer
+// String renders the subtree as markup. It implements fmt.Stringer.
+func (n *Node) String() string {
+	var s serializer
+	s.node(n)
+	return s.b.String()
 }
 
-func (s *stringWriter) str(v string) {
-	io.WriteString(s.w, v) //nolint:errcheck // strings.Builder never fails
+var _ fmt.Stringer = (*Node)(nil)
+
+type serializer struct {
+	b     strings.Builder
+	cut   func(*Node) bool
+	spans []string
+	cuts  []*Node
 }
 
-func serialize(w *stringWriter, n *Node) {
+func (s *serializer) node(n *Node) {
+	if s.cut != nil && s.cut(n) {
+		s.spans = append(s.spans, s.b.String())
+		s.cuts = append(s.cuts, n)
+		s.b = strings.Builder{}
+		return
+	}
 	switch n.Type {
 	case RawNode:
-		w.str(n.Data)
+		s.b.WriteString(n.Data)
 	case TextNode:
-		w.str(EscapeText(n.Data))
+		s.b.WriteString(EscapeText(n.Data))
 	case CommentNode:
-		w.str("<!--")
-		w.str(n.Data)
-		w.str("-->")
+		s.b.WriteString("<!--")
+		s.b.WriteString(n.Data)
+		s.b.WriteString("-->")
 	case ElementNode:
 		if n.Tag == "#root" {
 			for _, c := range n.Children {
-				serialize(w, c)
+				s.node(c)
 			}
 			return
 		}
-		w.str("<")
-		w.str(n.Tag)
+		s.b.WriteString("<")
+		s.b.WriteString(n.Tag)
 		for _, a := range n.Attrs {
-			w.str(" ")
-			w.str(a.Name)
-			w.str(`="`)
-			w.str(EscapeAttr(a.Value))
-			w.str(`"`)
+			s.b.WriteString(" ")
+			s.b.WriteString(a.Name)
+			s.b.WriteString(`="`)
+			s.b.WriteString(EscapeAttr(a.Value))
+			s.b.WriteString(`"`)
 		}
 		lower := strings.ToLower(n.Tag)
 		if len(n.Children) == 0 && voidElements[lower] {
-			w.str(">")
+			s.b.WriteString(">")
 			return
 		}
 		if len(n.Children) == 0 {
-			w.str("/>")
+			s.b.WriteString("/>")
 			return
 		}
-		w.str(">")
+		s.b.WriteString(">")
 		raw := lower == "script" || lower == "style"
 		for _, c := range n.Children {
 			if raw && c.Type == TextNode {
-				w.str(c.Data)
+				s.b.WriteString(c.Data)
 				continue
 			}
-			serialize(w, c)
+			s.node(c)
 		}
-		w.str("</")
-		w.str(n.Tag)
-		w.str(">")
+		s.b.WriteString("</")
+		s.b.WriteString(n.Tag)
+		s.b.WriteString(">")
 	}
 }
 

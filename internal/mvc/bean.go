@@ -100,9 +100,14 @@ func (b *UnitBean) Hash() uint64 {
 		io(f.Name)
 		io(f.Value)
 	}
-	for k, v := range b.Errors {
+	errs := make([]string, 0, len(b.Errors))
+	for k := range b.Errors {
+		errs = append(errs, k)
+	}
+	sort.Strings(errs)
+	for _, k := range errs {
 		io(k)
-		io(v)
+		io(b.Errors[k])
 	}
 	return h.Sum64()
 }

@@ -147,6 +147,21 @@ func TestBeanHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestBeanHashDeterministicWithErrors: the validation errors of an entry
+// bean are a map, and the fragment-cache key must not follow its
+// iteration order.
+func TestBeanHashDeterministicWithErrors(t *testing.T) {
+	b := &UnitBean{UnitID: "e", Kind: "entry", Errors: map[string]string{
+		"title": "required", "year": "not an integer", "isbn": "malformed", "abstract": "too long",
+	}}
+	want := b.Hash()
+	for i := 0; i < 50; i++ {
+		if got := b.Hash(); got != want {
+			t.Fatalf("hash %d: %x != %x", i, got, want)
+		}
+	}
+}
+
 func TestActionURL(t *testing.T) {
 	if got := ActionURL("page/p1", nil); got != "/page/p1" {
 		t.Fatal(got)

@@ -6,7 +6,6 @@
 package render
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -19,41 +18,27 @@ import (
 	"webmlgo/internal/mvc"
 )
 
-// bufPool recycles render buffers across requests: the final page
-// serialization (and the menu/fragment-key scratch) writes into a pooled
-// bytes.Buffer instead of growing a fresh one per page.
-var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// maxPooledBuf caps what returns to the pool: one pathological page must
-// not pin a giant buffer for the rest of the process.
-const maxPooledBuf = 1 << 20
-
-func getBuf() *bytes.Buffer {
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		bufPool.Put(b)
-	}
-}
-
 // TagRenderer produces the HTML rendition of one unit kind from its bean
 // — the custom tag implementation of Section 3 ("WebML-aware tags,
 // defined on purpose to match the features of WebML units").
 type TagRenderer func(rc *Context, bean *mvc.UnitBean) string
 
-// Styler transforms a parsed template at request time (runtime
-// application of the presentation rules, Section 5). Variant names the
-// rule set chosen for a user agent, for fragment-cache keying.
+// Styler transforms a parsed template for the requesting device
+// (runtime application of the presentation rules, Section 5). Variant
+// names the rule set chosen for a user agent. Apply's result must depend
+// only on Variant(userAgent): the engine compiles each page once per
+// variant and serves that program to every user agent of the variant,
+// and the fragment cache keys unit markup on the variant too. Programs
+// are kept for the engine's lifetime, so variants must be few (rule-set
+// names, not raw header values).
 type Styler interface {
 	Apply(tpl *dom.Node, userAgent string) (*dom.Node, error)
 	Variant(userAgent string) string
 }
 
-// Engine renders pages from the repository's templates.
+// Engine renders pages from the repository's templates. Each page
+// template is compiled once per style variant into a program (see
+// compile); the templates must not change once rendering starts.
 type Engine struct {
 	Repo *descriptor.Repository
 	// Tags maps unit kind -> renderer; NewEngine installs the core six,
@@ -61,19 +46,30 @@ type Engine struct {
 	Tags map[string]TagRenderer
 	// Fragments, when set, caches rendered unit fragments (ESI-style).
 	Fragments *cache.FragmentCache
-	// Styler, when set, applies presentation rules per request.
+	// Styler, when set, applies presentation rules per device variant.
 	Styler Styler
 
-	mu     sync.RWMutex
-	parsed map[string]*dom.Node // template name -> parsed tree
+	mu       sync.RWMutex
+	programs map[programKey]*program
 }
+
+// program is one page template compiled for one style variant: its
+// markup serialized once and cut at the custom tags. static has one span
+// more than slots, and static[i] precedes slots[i], the unit ID of the
+// i-th custom tag in document order.
+type program struct {
+	static []string
+	slots  []string
+}
+
+type programKey struct{ page, variant string }
 
 // NewEngine returns a renderer with the core tag library installed.
 func NewEngine(repo *descriptor.Repository) *Engine {
 	e := &Engine{
-		Repo:   repo,
-		Tags:   map[string]TagRenderer{},
-		parsed: map[string]*dom.Node{},
+		Repo:     repo,
+		Tags:     map[string]TagRenderer{},
+		programs: map[programKey]*program{},
 	}
 	e.Tags["data"] = renderDataTag
 	e.Tags["index"] = renderIndexTag
@@ -87,19 +83,11 @@ func NewEngine(repo *descriptor.Repository) *Engine {
 // RegisterTag installs the renderer for a (plug-in) unit kind.
 func (e *Engine) RegisterTag(kind string, r TagRenderer) { e.Tags[kind] = r }
 
-// InvalidateTemplate drops a cached parse (after template redeployment).
-func (e *Engine) InvalidateTemplate(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.parsed, name)
-}
-
 // Context is passed to tag renderers.
 type Context struct {
 	Page    *descriptor.Page
 	State   *mvc.PageState
 	Request *mvc.RequestContext
-	engine  *Engine
 }
 
 // Anchors returns the anchors originating at a unit.
@@ -130,9 +118,9 @@ var (
 	_ mvc.FragmentRenderer  = (*Engine)(nil)
 )
 
-// RenderPage implements mvc.Renderer: parse (or reuse) the page template,
-// optionally restyle it for the requesting device, then substitute every
-// custom tag with its unit's rendition, consulting the fragment cache.
+// RenderPage implements mvc.Renderer: the page's compiled program for
+// the requesting device, with every custom tag's slot filled by its
+// unit's rendition, consulting the fragment cache.
 func (e *Engine) RenderPage(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext) ([]byte, error) {
 	return e.render(pd, state, ctx, false)
 }
@@ -146,21 +134,13 @@ func (e *Engine) RenderContainer(pd *descriptor.Page, ctx *mvc.RequestContext) (
 	return e.render(pd, nil, ctx, true)
 }
 
-// RenderUnitFragment implements mvc.FragmentRenderer: one unit's markup,
-// byte-identical to what RenderPage inlines in its place (including the
+// RenderUnitFragment implements mvc.FragmentRenderer: one unit's slot,
+// filled by the same function RenderPage fills it with (including the
 // placeholder comment for units the page did not compute), so an
 // edge-assembled page equals the in-process rendering exactly.
 func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, unitID string) ([]byte, error) {
-	bean := state.Beans[unitID]
-	if bean == nil {
-		return []byte("<!-- unit " + unitID + " not computed -->"), nil
-	}
-	variant := ""
-	if e.Styler != nil {
-		variant = e.Styler.Variant(ctx.UserAgent)
-	}
-	rc := &Context{Page: pd, State: state, Request: ctx, engine: e}
-	markup, err := e.renderUnit(rc, pd, bean, variant)
+	rc := &Context{Page: pd, State: state, Request: ctx}
+	markup, err := e.slot(rc, e.variant(ctx.UserAgent), unitID, false)
 	if err != nil {
 		return nil, err
 	}
@@ -172,88 +152,60 @@ func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, c
 // cache tier key and Vary on it.
 func (e *Engine) VariesByUserAgent() bool { return e.Styler != nil }
 
-// render is the shared template walk: edge mode emits ESI placeholders
-// where the inline mode substitutes computed unit markup.
+func (e *Engine) variant(userAgent string) string {
+	if e.Styler == nil {
+		return ""
+	}
+	return e.Styler.Variant(userAgent)
+}
+
+// render writes the error banner, then each static span of the page's
+// program followed by its filled slot: edge mode fills slots with ESI
+// placeholders where the inline mode substitutes computed unit markup.
 func (e *Engine) render(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, edge bool) ([]byte, error) {
-	tpl, err := e.template(pd.Template)
+	variant := e.variant(ctx.UserAgent)
+	prog, err := e.program(pd, variant, ctx.UserAgent)
 	if err != nil {
 		return nil, err
 	}
-	variant := ""
-	if e.Styler != nil {
-		variant = e.Styler.Variant(ctx.UserAgent)
-		styled, err := e.Styler.Apply(tpl, ctx.UserAgent)
+	banner := ""
+	if ctx.Error != "" {
+		banner = `<div class="webml-error">` + dom.EscapeText(ctx.Error) + `</div>`
+	}
+	rc := &Context{Page: pd, State: state, Request: ctx}
+	fills := make([]string, 0, 16) // on the stack for pages of up to 16 units
+	size := len(banner) + len(prog.static[len(prog.slots)])
+	for i, unitID := range prog.slots {
+		fill, err := e.slot(rc, variant, unitID, edge)
 		if err != nil {
 			return nil, err
 		}
-		tpl = styled
-	} else {
-		tpl = tpl.Clone()
+		fills = append(fills, fill)
+		size += len(prog.static[i]) + len(fill)
 	}
+	out := make([]byte, 0, size)
+	out = append(out, banner...)
+	for i, fill := range fills {
+		out = append(out, prog.static[i]...)
+		out = append(out, fill...)
+	}
+	return append(out, prog.static[len(fills)]...), nil
+}
 
-	rc := &Context{Page: pd, State: state, Request: ctx, engine: e}
-	var renderErr error
-	tpl.Walk(func(n *dom.Node) bool {
-		if renderErr != nil {
-			return false
-		}
-		if n.Type != dom.ElementNode || !strings.HasPrefix(n.Tag, "webml:") {
-			return true
-		}
-		unitID, _ := n.Attr("id")
-		if edge {
-			// The placeholder stands exactly where the inline markup
-			// would; the surrogate substitutes the fragment body
-			// textually, so assembly reproduces RenderPage byte for byte.
-			src := mvc.FragmentURL(pd.ID, unitID, ctx.Params)
-			n.ReplaceWith(dom.NewRaw(`<esi:include src="` + dom.EscapeAttr(src) + `"/>`))
-			return false
-		}
-		bean := state.Beans[unitID]
-		if bean == nil {
-			n.ReplaceWith(dom.NewComment(" unit " + unitID + " not computed "))
-			return false
-		}
-		markup, err := e.renderUnit(rc, pd, bean, variant)
-		if err != nil {
-			renderErr = err
-			return false
-		}
-		n.ReplaceWith(dom.NewRaw(markup))
-		return false
-	})
-	if renderErr != nil {
-		return nil, renderErr
+// slot returns what stands in place of one custom tag: the unit's
+// markup, a comment for a unit the page did not compute, or in edge mode
+// the <esi:include> the surrogate substitutes textually with the markup
+// RenderUnitFragment returns for the same slot.
+func (e *Engine) slot(rc *Context, variant, unitID string, edge bool) (string, error) {
+	if edge {
+		src := mvc.FragmentURL(rc.Page.ID, unitID, rc.Request.Params)
+		return `<esi:include src="` + dom.EscapeAttr(src) + `"/>`, nil
 	}
-	// Landmark navigation menu, injected at the top of the body.
-	if len(pd.Menu) > 0 {
-		if body := tpl.Find(dom.ByTag("body")); body != nil {
-			nb := getBuf()
-			nb.WriteString(`<nav class="webml-menu">`)
-			for _, item := range pd.Menu {
-				fmt.Fprintf(nb, `<a href="/%s">%s</a> `,
-					dom.EscapeAttr(item.Action), dom.EscapeText(item.Label))
-			}
-			nb.WriteString(`</nav>`)
-			menu := dom.NewRaw(nb.String())
-			putBuf(nb)
-			if len(body.Children) > 0 {
-				body.InsertBefore(menu, body.Children[0])
-			} else {
-				body.AppendChild(menu)
-			}
-		}
+	bean := rc.State.Beans[unitID]
+	if bean == nil {
+		return "<!-- unit " + unitID + " not computed -->", nil
 	}
-
-	b := getBuf()
-	defer putBuf(b)
-	if ctx.Error != "" {
-		fmt.Fprintf(b, `<div class="webml-error">%s</div>`, dom.EscapeText(ctx.Error))
-	}
-	dom.Serialize(b, tpl)
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	return out, nil
+	return e.renderUnit(rc, bean, variant)
 }
 
 // renderUnit produces one unit's markup, reusing a cached fragment when
@@ -261,19 +213,15 @@ func (e *Engine) render(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.Requ
 // explains, this spares "only the computation of markup from query
 // results, not the execution of the data extraction queries" — the bean
 // cache (mvc.CachedBusiness) covers those.
-func (e *Engine) renderUnit(rc *Context, pd *descriptor.Page, bean *mvc.UnitBean, variant string) (string, error) {
+func (e *Engine) renderUnit(rc *Context, bean *mvc.UnitBean, variant string) (string, error) {
 	var key string
 	if e.Fragments != nil {
-		kb := getBuf()
-		kb.WriteString(pd.ID)
-		kb.WriteByte('|')
-		kb.WriteString(bean.UnitID)
-		kb.WriteByte('|')
-		kb.WriteString(variant)
-		kb.WriteByte('|')
-		kb.Write(strconv.AppendUint(kb.AvailableBuffer(), bean.Hash(), 16))
-		key = kb.String()
-		putBuf(kb)
+		var kb [128]byte
+		k := append(kb[:0], rc.Page.ID...)
+		k = append(append(k, '|'), bean.UnitID...)
+		k = append(append(k, '|'), variant...)
+		k = strconv.AppendUint(append(k, '|'), bean.Hash(), 16)
+		key = string(k)
 		if cached, ok := e.Fragments.Get(key); ok {
 			return string(cached), nil
 		}
@@ -295,24 +243,88 @@ func (e *Engine) renderUnit(rc *Context, pd *descriptor.Page, bean *mvc.UnitBean
 	return markup, nil
 }
 
-// template returns the parsed tree of a template, parsing once.
-func (e *Engine) template(name string) (*dom.Node, error) {
+// program returns the page's program for a style variant, compiling it
+// on first use. A failed compilation is not remembered.
+func (e *Engine) program(pd *descriptor.Page, variant, userAgent string) (*program, error) {
+	key := programKey{pd.ID, variant}
 	e.mu.RLock()
-	tpl, ok := e.parsed[name]
+	prog := e.programs[key]
 	e.mu.RUnlock()
-	if ok {
-		return tpl, nil
+	if prog != nil {
+		return prog, nil
 	}
-	src, ok := e.Repo.Template(name)
+	prog, err := e.compile(pd, userAgent)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.programs[key] = prog
+	e.mu.Unlock()
+	return prog, nil
+}
+
+var isUnitTag = dom.ByTagPrefix("webml:")
+
+// compile builds a page's program for the user agent's style variant:
+// parse the template, apply the presentation rules, inject the landmark
+// menu at the top of the body, and serialize the tree cut at every
+// custom tag. This is the only place the template is a tree.
+func (e *Engine) compile(pd *descriptor.Page, userAgent string) (*program, error) {
+	src, ok := e.Repo.Template(pd.Template)
 	if !ok {
-		return nil, fmt.Errorf("render: no template %q", name)
+		return nil, fmt.Errorf("render: no template %q", pd.Template)
 	}
 	tpl, err := dom.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("render: template %q: %w", name, err)
+		return nil, fmt.Errorf("render: template %q: %w", pd.Template, err)
 	}
-	e.mu.Lock()
-	e.parsed[name] = tpl
-	e.mu.Unlock()
-	return tpl, nil
+	if e.Styler != nil {
+		if tpl, err = e.Styler.Apply(tpl, userAgent); err != nil {
+			return nil, err
+		}
+	}
+	if isUnitTag(tpl) {
+		return nil, fmt.Errorf("render: template %q: root element <%s> is a unit tag", pd.Template, tpl.Tag)
+	}
+	if len(pd.Menu) > 0 {
+		injectMenu(tpl, pd.Menu)
+	}
+	static, tags := tpl.Cut(isUnitTag)
+	prog := &program{static: static, slots: make([]string, len(tags))}
+	for i, t := range tags {
+		prog.slots[i], _ = t.Attr("id")
+	}
+	return prog, nil
+}
+
+// injectMenu puts the landmark navigation menu first in the body. The
+// body is looked up outside the custom tags, whose content never reaches
+// the page.
+func injectMenu(tpl *dom.Node, items []descriptor.MenuItem) {
+	var body *dom.Node
+	tpl.Walk(func(n *dom.Node) bool {
+		if body != nil || isUnitTag(n) {
+			return false
+		}
+		if n.Type == dom.ElementNode && n.Tag == "body" {
+			body = n
+			return false
+		}
+		return true
+	})
+	if body == nil {
+		return
+	}
+	var b strings.Builder
+	b.WriteString(`<nav class="webml-menu">`)
+	for _, item := range items {
+		fmt.Fprintf(&b, `<a href="/%s">%s</a> `, dom.EscapeAttr(item.Action), dom.EscapeText(item.Label))
+	}
+	b.WriteString(`</nav>`)
+	menu := dom.NewRaw(b.String())
+	if len(body.Children) > 0 {
+		body.InsertBefore(menu, body.Children[0])
+	} else {
+		body.AppendChild(menu)
+	}
 }

@@ -2,6 +2,7 @@ package render
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"webmlgo/internal/cache"
@@ -296,26 +297,57 @@ func (fakeStyler) Apply(tpl *dom.Node, ua string) (*dom.Node, error) {
 	return c, nil
 }
 
-func TestTemplateParseCachingAndInvalidation(t *testing.T) {
+// TestProgramCompiledOnce: a page's template is compiled on first use
+// and the program is reused; templates are fixed once rendering starts.
+func TestProgramCompiledOnce(t *testing.T) {
 	pd, state, ctx := pageFixture()
-	repo := descriptor.NewRepository()
-	repo.PutPage(pd)
-	repo.PutTemplate("p1", tplP1)
-	e := NewEngine(repo)
-	if _, err := e.RenderPage(pd, state, ctx); err != nil {
+	e := engineWith(pd, tplP1)
+	first, err := e.RenderPage(pd, state, ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Replace the template: without invalidation the old parse is reused.
-	repo.PutTemplate("p1", `<html><body id="v2"><webml:dataUnit id="d1"/></body></html>`)
-	out, _ := e.RenderPage(pd, state, ctx)
-	if strings.Contains(string(out), `id="v2"`) {
-		t.Fatal("template parse cache bypassed")
+	e.Repo.PutTemplate("p1", `<html><body id="v2"><webml:dataUnit id="d1"/></body></html>`)
+	again, err := e.RenderPage(pd, state, ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.InvalidateTemplate("p1")
-	out, _ = e.RenderPage(pd, state, ctx)
-	if !strings.Contains(string(out), `id="v2"`) {
-		t.Fatal("template invalidation broken")
+	if string(again) != string(first) {
+		t.Fatalf("program recompiled:\n%s", again)
 	}
+}
+
+// TestProgramsCompiledConcurrently: goroutines racing on the first use
+// of a page under two style variants all get that variant's rendering.
+func TestProgramsCompiledConcurrently(t *testing.T) {
+	pd, state, _ := pageFixture()
+	want := map[string]string{}
+	for _, ua := range []string{"desktop", "mobile"} {
+		e := engineWith(pd, tplP1)
+		e.Styler = fakeStyler{}
+		out, err := e.RenderPage(pd, state, &mvc.RequestContext{UserAgent: ua})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[ua] = string(out)
+	}
+	e := engineWith(pd, tplP1)
+	e.Styler = fakeStyler{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		ua := []string{"desktop", "mobile"}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				out, err := e.RenderPage(pd, state, &mvc.RequestContext{UserAgent: ua})
+				if err != nil || string(out) != want[ua] {
+					t.Errorf("%s: err %v, output %q", ua, err, out)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLandmarkMenuRendered(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"webmlgo/internal/descriptor"
 	"webmlgo/internal/dom"
 	"webmlgo/internal/mvc"
 )
@@ -246,15 +245,4 @@ func renderEntryTag(rc *Context, bean *mvc.UnitBean) string {
 	}
 	b.WriteString(`<input type="submit" value="submit"></form></div>`)
 	return b.String()
-}
-
-// RenderStandaloneUnit renders a single unit bean outside a page, for
-// tests and tooling.
-func RenderStandaloneUnit(e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, unitID string) (string, error) {
-	rc := &Context{Page: pd, State: state, Request: ctx, engine: e}
-	bean := state.Beans[unitID]
-	if bean == nil {
-		return "", fmt.Errorf("render: no bean for unit %q", unitID)
-	}
-	return e.renderUnit(rc, pd, bean, "")
 }

@@ -142,7 +142,8 @@ func MobileRuleSet() *RuleSet {
 }
 
 // StandardProfiles returns a runtime styler dispatching mobile user
-// agents to the mobile rule set and everything else to the given default.
+// agents to the mobile rule set and everything else to the given default
+// (nil: unstyled).
 func StandardProfiles(def *RuleSet) *RuntimeStyler {
 	return &RuntimeStyler{
 		Profiles: []DeviceProfile{

@@ -10,8 +10,9 @@
 //
 //   - compile time: CompileTemplates rewrites every template in the
 //     repository once, yielding the most efficient runtime;
-//   - request time: RuntimeStyler transforms the skeleton per request,
-//     dispatching a rule set on the User-Agent header (multi-device).
+//   - request time: RuntimeStyler dispatches a rule set on the
+//     User-Agent header (multi-device); the View transforms each
+//     skeleton once per rule set and reuses the result.
 package style
 
 import (
@@ -232,22 +233,32 @@ type DeviceProfile struct {
 
 // RuntimeStyler applies presentation rules per request, choosing the
 // rule set "based on the user agent declared in the HTTP request" —
-// the multi-device mode of Section 5. It implements render.Styler.
+// the multi-device mode of Section 5. It implements render.Styler: the
+// transformation depends only on the chosen rule set, so the View
+// applies it once per (page, rule set) and reuses the result.
 type RuntimeStyler struct {
 	Profiles []DeviceProfile
-	// Default is used when no profile matches.
+	// Default is used when no profile matches; nil serves the skeleton
+	// unstyled.
 	Default *RuleSet
 }
 
-// Variant names the rule set chosen for a user agent (fragment-cache
-// keying).
+// Variant names the rule set chosen for a user agent ("" for the
+// unstyled skeleton).
 func (s *RuntimeStyler) Variant(userAgent string) string {
-	return s.ruleSet(userAgent).Name
+	if rs := s.ruleSet(userAgent); rs != nil {
+		return rs.Name
+	}
+	return ""
 }
 
-// Apply transforms the template for the requesting device.
+// Apply transforms the template for the requesting device. Without a
+// rule set for the device the template is returned as it is.
 func (s *RuntimeStyler) Apply(tpl *dom.Node, userAgent string) (*dom.Node, error) {
-	return s.ruleSet(userAgent).Apply(tpl)
+	if rs := s.ruleSet(userAgent); rs != nil {
+		return rs.Apply(tpl)
+	}
+	return tpl, nil
 }
 
 func (s *RuntimeStyler) ruleSet(userAgent string) *RuleSet {

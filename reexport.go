@@ -98,7 +98,8 @@ func IntranetStyle() *style.RuleSet { return style.IntranetRuleSet() }
 func MobileStyle() *style.RuleSet { return style.MobileRuleSet() }
 
 // MultiDevice returns a runtime styler that serves mobile user agents
-// with the mobile rule set and everything else with def.
+// with the mobile rule set and everything else with def (nil def serves
+// them the unstyled skeleton).
 func MultiDevice(def *style.RuleSet) *style.RuntimeStyler { return style.StandardProfiles(def) }
 
 // StyleRuleSet aliases the presentation rule-set type for option maps.
