@@ -94,7 +94,6 @@ type config struct {
 	latency       time.Duration
 	remotePages   bool
 	ejbConns      int
-	noUnitBatch   bool
 	skipDDL       bool
 	withPageCache bool
 	pageCache     int
@@ -169,7 +168,8 @@ func WithEdgeCache(capacity int, ttl time.Duration) Option {
 
 // WithPageWorkers bounds the page service's worker pool: units of the
 // same topological level compute concurrently on up to n goroutines
-// (<=1 selects sequential computation, the default).
+// (<=1 selects sequential computation, the default). A remote business
+// tier takes each level as one batch call and needs no pool.
 func WithPageWorkers(n int) Option {
 	return func(c *config) { c.pageWorkers = n }
 }
@@ -228,13 +228,6 @@ func WithWireProtocol(string) Option {
 // WithAppServer.
 func WithEJBConns(n int) Option {
 	return func(c *config) { c.ejbConns = n }
-}
-
-// WithoutUnitBatch disables level-batched unit invocation while keeping
-// the framed transport — the scheduler falls back to one multiplexed
-// call per unit (the middle variant of the E10 comparison).
-func WithoutUnitBatch() Option {
-	return func(c *config) { c.noUnitBatch = true }
 }
 
 // WithRequestTimeout gives every request a deadline budget: the
@@ -357,7 +350,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		}
 		remote.Latency = cfg.latency
 		remote.ConnsPerEndpoint = cfg.ejbConns
-		remote.DisableBatch = cfg.noUnitBatch
 		app.Remote = remote
 		app.Business = remote
 		spawn := func() (*ejb.Clone, error) {
@@ -388,7 +380,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		}
 		remote.Latency = cfg.latency
 		remote.ConnsPerEndpoint = cfg.ejbConns
-		remote.DisableBatch = cfg.noUnitBatch
 		app.Remote = remote
 		app.Business = remote
 	default:

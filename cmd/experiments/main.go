@@ -726,11 +726,17 @@ func e10() {
 		must(err)
 		return app
 	}
+	// The per-unit baseline hides the batch interface from its page
+	// service, which then issues one multiplexed call per unit on its
+	// worker pool.
+	perUnit := mkApp()
+	ps := perUnit.Controller.Pages.(*mvc.PageService)
+	ps.Business = perUnitBusiness{ps.Business}
 	modes := []struct {
 		name string
 		app  *webmlgo.App
 	}{
-		{"framed, per-unit calls", mkApp(webmlgo.WithoutUnitBatch())},
+		{"framed, per-unit calls", perUnit},
 		{"framed + level batch", mkApp()},
 	}
 	defer func() {
@@ -817,6 +823,10 @@ func e10() {
 	sent, recv, _ := modes[1].app.Remote.FrameStats()
 	fmt.Printf("  frames on the batch client: %d sent / %d received (batch replies stream per item)\n", sent, recv)
 }
+
+// perUnitBusiness exposes only mvc.Business of the chain it wraps, so
+// the page scheduler cannot see that the chain batches.
+type perUnitBusiness struct{ mvc.Business }
 
 // e11 measures the compiled-plan engine on the Acer-Euro product
 // database (Section 6's data-tier tuning workflow): the ER mapping

@@ -154,7 +154,6 @@ func usage() {
            [-debug]                      net/http/pprof at /debug/pprof/
            [-app-server a1,a2]           remote business tier (container addresses)
            [-ejb-conns n]                wire-v2 connections per endpoint
-           [-no-unit-batch]              disable level-batched unit invocation
            [-max-concurrency n]          admission control: concurrent-action cap (sheds 503)
            [-admit-queue n]              admission queue depth (default 4x cap)
            [-autoscale]                  self-hosted elastic container fleet
@@ -334,7 +333,6 @@ func cmdServe(args []string) {
 	debug := fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	appServer := fs.String("app-server", "", "comma-separated container addresses (empty = in-process business tier)")
 	ejbConns := fs.Int("ejb-conns", 0, "multiplexed wire-v2 connections per container endpoint (<=0 = 3; needs -app-server)")
-	noBatch := fs.Bool("no-unit-batch", false, "disable level-batched unit invocation on the framed protocol")
 	maxConcurrency := fs.Int("max-concurrency", 0, "admission control: max concurrent actions (0 = unlimited, no admission gate)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth (<=0 = 4x -max-concurrency; needs -max-concurrency)")
 	autoscale := fs.Bool("autoscale", false, "self-hosted elastic container fleet (mutually exclusive with -app-server)")
@@ -379,9 +377,6 @@ func cmdServe(args []string) {
 		opts = append(opts, webmlgo.WithAppServer(strings.Split(*appServer, ",")...))
 		if *ejbConns > 0 {
 			opts = append(opts, webmlgo.WithEJBConns(*ejbConns))
-		}
-		if *noBatch {
-			opts = append(opts, webmlgo.WithoutUnitBatch())
 		}
 	}
 	if *autoscale {
@@ -447,7 +442,7 @@ func cmdServe(args []string) {
 		defer app.Fleet.Stop()
 		log.Printf("webratio: elastic fleet on (%d..%d containers; scale events at /healthz)", *minContainers, *maxContainers)
 	} else if app.Remote != nil {
-		log.Printf("webratio: business tier on %s (batch=%v)", *appServer, !*noBatch)
+		log.Printf("webratio: business tier on %s (level-batched unit reads)", *appServer)
 	}
 	if app.Admission != nil {
 		log.Printf("webratio: admission control on (%d slots, queue %d; overflow sheds 503 + Retry-After)",

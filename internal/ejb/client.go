@@ -53,10 +53,6 @@ type RemoteBusiness struct {
 	// ConnsPerEndpoint bounds the persistent multiplexed connections per
 	// container (<=0 selects 3).
 	ConnsPerEndpoint int
-	// DisableBatch turns off level-batched unit invocation while keeping
-	// the framed transport (the per-call multiplexing still applies) —
-	// the middle variant of the E10 comparison.
-	DisableBatch bool
 	// CallLat records per-endpoint remote call latency (created by Dial;
 	// always on, atomics only). Registered with the /metrics registry by
 	// the app wiring. Batched items are observed individually as their
@@ -287,11 +283,9 @@ func (r *RemoteBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Uni
 	return resp.Op, nil
 }
 
-// SupportsUnitBatch implements mvc.BatchComputer: level batching is
-// available unless explicitly disabled.
-func (r *RemoteBusiness) SupportsUnitBatch() bool {
-	return !r.DisableBatch
-}
+// SupportsUnitBatch implements mvc.BatchComputer: every unit read of the
+// page scheduler travels as a level batch.
+func (r *RemoteBusiness) SupportsUnitBatch() bool { return true }
 
 // ComputeUnits implements mvc.BatchComputer: all unit computations of
 // one schedule level travel as a single batch frame, and the container

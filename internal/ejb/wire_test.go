@@ -1051,7 +1051,6 @@ func benchLevel(b *testing.B, client *RemoteBusiness, d *descriptor.Unit, batch 
 
 func BenchmarkRemoteLevelFramedNoBatch(b *testing.B) {
 	client, d := benchClient(b, 0)
-	client.DisableBatch = true
 	benchLevel(b, client, d, false)
 }
 

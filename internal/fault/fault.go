@@ -134,12 +134,10 @@ func WrapBusiness(inner mvc.Business, in *Injector) *Business {
 	return &Business{Inner: inner, In: in}
 }
 
-// ComputeUnit implements mvc.Business with fault injection.
+// ComputeUnit implements mvc.Business as a one-item ComputeUnits.
 func (b *Business) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
-	if err := b.In.beforeCall(ctx); err != nil {
-		return nil, err
-	}
-	return b.Inner.ComputeUnit(ctx, d, inputs)
+	r := b.ComputeUnits(ctx, []mvc.UnitCall{{D: d, Inputs: inputs}})[0]
+	return r.Bean, r.Err
 }
 
 // ExecuteOperation implements mvc.Business with fault injection.
@@ -155,15 +153,17 @@ func (b *Business) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inp
 func (b *Business) SupportsUnitBatch() bool { return mvc.SupportsUnitBatch(b.Inner) }
 
 // ComputeUnits implements mvc.BatchComputer with per-item injection:
-// each item of the level draws its own fault decision (one flaky item
-// must not fail its whole batch), and an injected panic is contained to
-// its item in the same error shape the page worker's recover produces.
+// each item of the level draws its own fault decision, so one flaky item
+// does not fail its whole batch. An injected panic is real: it escapes
+// the call, as a panicking batch implementation would, and exercises the
+// containment of the caller (mvc.ComputeUnitsOf, the page scheduler, the
+// container).
 func (b *Business) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
 	out := make([]mvc.UnitResult, len(calls))
 	var pass []mvc.UnitCall
 	var passIdx []int
 	for i, c := range calls {
-		if err := b.injectOne(ctx, c.D.ID); err != nil {
+		if err := b.In.beforeCall(ctx); err != nil {
 			out[i] = mvc.UnitResult{Err: err}
 			continue
 		}
@@ -177,18 +177,6 @@ func (b *Business) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc
 		}
 	}
 	return out
-}
-
-// injectOne is beforeCall with the panic contained: batched items report
-// an injected panic as that item's error, matching the containment shape
-// of the per-unit paths.
-func (b *Business) injectOne(ctx context.Context, unitID string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("mvc: unit %s panicked: %v", unitID, r)
-		}
-	}()
-	return b.In.beforeCall(ctx)
 }
 
 // Conn wraps a net.Conn, severing it (with probability DropProb per

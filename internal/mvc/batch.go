@@ -2,13 +2,9 @@ package mvc
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
-	"time"
 
 	"webmlgo/internal/descriptor"
-	"webmlgo/internal/obs"
 )
 
 // UnitCall is one unit computation inside a level batch: the resolved
@@ -24,16 +20,19 @@ type UnitResult struct {
 	Err  error
 }
 
-// BatchComputer is the optional batch interface of the business tier:
-// the page scheduler submits all unit computations of one topological
-// level in a single call, so a remote business tier can turn N round
-// trips per level into one batch frame (wire protocol v2).
+// BatchComputer is the batch interface of the business tier: the page
+// scheduler submits all unit computations of one topological level in a
+// single call, so a remote business tier turns N round trips per level
+// into one batch frame. The decorators (bean cache, retries, chaos)
+// implement their unit reads here only; their ComputeUnit is a one-item
+// ComputeUnits.
 //
 // SupportsUnitBatch must report whether batching actually reaches a
 // batching transport below — decorators delegate the answer to their
-// inner business. When it reports false the scheduler keeps its
-// per-unit concurrent path, which is the right shape for in-process
-// computation (no round trips to save).
+// inner business. When it reports false the scheduler computes the
+// level's units concurrently on its worker pool, which is the right
+// shape for in-process computation (no round trips to save, and a
+// decorator's ComputeUnits would run its items one after another).
 type BatchComputer interface {
 	Business
 	SupportsUnitBatch() bool
@@ -48,25 +47,42 @@ func SupportsUnitBatch(b Business) bool {
 	return ok && bc.SupportsUnitBatch()
 }
 
-// ComputeUnitsOf runs a level batch against b: through its own
-// ComputeUnits when it batches, otherwise as guarded per-item calls
-// (panics contained to the failing item, matching the page worker's
-// containment). Decorators use it to pass a batch one layer down
-// without caring whether that layer batches.
-func ComputeUnitsOf(ctx context.Context, b Business, calls []UnitCall) []UnitResult {
-	if bc, ok := b.(BatchComputer); ok && bc.SupportsUnitBatch() {
-		return bc.ComputeUnits(ctx, calls)
+// ComputeUnitsOf runs a level batch against b and never panics: through
+// b's own ComputeUnits when it batches (a panic fails every item, and a
+// short result set is padded so callers can index safely), otherwise as
+// guarded per-item calls (a panic fails only its item). Decorators use
+// it to pass a batch one layer down without caring whether that layer
+// batches, and a panic below can never skip their bookkeeping.
+func ComputeUnitsOf(ctx context.Context, b Business, calls []UnitCall) (out []UnitResult) {
+	if !SupportsUnitBatch(b) {
+		out = make([]UnitResult, len(calls))
+		for i, c := range calls {
+			out[i].Bean, out[i].Err = computeOneGuarded(ctx, b, c)
+		}
+		return out
 	}
-	out := make([]UnitResult, len(calls))
-	for i, c := range calls {
-		out[i].Bean, out[i].Err = computeOneGuarded(ctx, b, c)
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("mvc: batch panicked: %v", r)
+			out = make([]UnitResult, len(calls))
+			for i := range out {
+				out[i].Err = err
+			}
+		}
+	}()
+	out = b.(BatchComputer).ComputeUnits(ctx, calls)
+	if n := len(out); n < len(calls) {
+		err := fmt.Errorf("mvc: batch returned %d results for %d calls", n, len(calls))
+		for len(out) < len(calls) {
+			out = append(out, UnitResult{Err: err})
+		}
 	}
 	return out
 }
 
 // computeOneGuarded is one contained unit call: a panicking service
-// surfaces as that unit's error, in the same shape the page worker's
-// recover produces.
+// (user-supplied custom components run arbitrary code) surfaces as that
+// unit's error instead of killing the process.
 func computeOneGuarded(ctx context.Context, b Business, c UnitCall) (bean *UnitBean, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -74,159 +90,4 @@ func computeOneGuarded(ctx context.Context, b Business, c UnitCall) (bean *UnitB
 		}
 	}()
 	return b.ComputeUnit(ctx, c.D, c.Inputs)
-}
-
-// ---- decorator pass-through ----
-
-// SupportsUnitBatch implements BatchComputer by delegation.
-func (nb *NotifyingBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(nb.Inner) }
-
-// ComputeUnits implements BatchComputer by pure delegation — unit reads
-// never write, so there is nothing to notify.
-func (nb *NotifyingBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
-	return ComputeUnitsOf(ctx, nb.Inner, calls)
-}
-
-// SupportsUnitBatch implements BatchComputer by delegation.
-func (rb *ResilientBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(rb.Inner) }
-
-// ComputeUnits implements BatchComputer with per-item retry: each round
-// re-submits only the items that failed retryably (reads are
-// idempotent; context errors mean the budget is gone and nothing is
-// retried), so one flapping unit does not recompute its whole level.
-func (rb *ResilientBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
-	attempts := rb.MaxAttempts
-	if attempts == 0 {
-		attempts = 3
-	}
-	out := make([]UnitResult, len(calls))
-	pending := make([]int, len(calls))
-	for i := range pending {
-		pending[i] = i
-	}
-	cur := calls
-	for attempt := 0; attempt < attempts && len(pending) > 0; attempt++ {
-		if attempt > 0 {
-			rb.Retries.Add(int64(len(pending)))
-			if err := rb.sleep(ctx, attempt); err != nil {
-				break
-			}
-		}
-		res := ComputeUnitsOf(ctx, rb.Inner, cur)
-		var nextIdx []int
-		var next []UnitCall
-		for j, r := range res {
-			idx := pending[j]
-			out[idx] = r
-			if r.Err != nil && !errors.Is(r.Err, context.DeadlineExceeded) &&
-				!errors.Is(r.Err, context.Canceled) && ctx.Err() == nil {
-				nextIdx = append(nextIdx, idx)
-				next = append(next, cur[j])
-			}
-		}
-		pending, cur = nextIdx, next
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return out
-}
-
-// SupportsUnitBatch implements BatchComputer by delegation.
-func (cb *CachedBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(cb.Inner) }
-
-// ComputeUnits implements BatchComputer over the bean cache: hits are
-// answered locally, misses led by another request are joined, and only
-// the remaining leader misses (plus uncached units) travel down as one
-// smaller batch — each with the same snapshot/PutIfFresh freshness
-// protocol as the single-call path.
-func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
-	out := make([]UnitResult, len(calls))
-	// leader describes one inner-batch slot: the call index it resolves,
-	// and — for cached units — the flight this request leads plus the
-	// pre-compute invalidation version snapshot.
-	type leader struct {
-		idx int
-		key string
-		f   *flight
-		ver uint64
-		d   *descriptor.Unit
-	}
-	type joiner struct {
-		idx  int
-		key  string
-		unit string
-		f    *flight
-	}
-	var inner []UnitCall
-	var leaders []leader
-	var joins []joiner
-	for i, c := range calls {
-		if c.D.Cache == nil || !c.D.Cache.Enabled {
-			inner = append(inner, c)
-			leaders = append(leaders, leader{idx: i})
-			continue
-		}
-		key := beanKey(c.D.ID, c.Inputs)
-		gsp := obs.Leaf(ctx, "cache.get").Label("unit", c.D.ID)
-		if v, ok := cb.Cache.Get(key); ok {
-			gsp.Label("outcome", "hit").End()
-			out[i] = UnitResult{Bean: v.(*UnitBean)}
-			continue
-		}
-		gsp.Label("outcome", "miss").End()
-		f, lead := cb.flights.join(key, c.D.Reads)
-		if !lead {
-			joins = append(joins, joiner{idx: i, key: key, unit: c.D.ID, f: f})
-			continue
-		}
-		inner = append(inner, c)
-		leaders = append(leaders, leader{idx: i, key: key, f: f, ver: cb.Cache.Version(c.D.Reads), d: c.D})
-	}
-	if len(inner) > 0 {
-		res := ComputeUnitsOf(ctx, cb.Inner, inner)
-		for j, li := range leaders {
-			bean, err := res[j].Bean, res[j].Err
-			if li.f == nil {
-				// Uncached pass-through: no flight, no cache store.
-				out[li.idx] = res[j]
-				continue
-			}
-			current := cb.flights.finish(li.key, li.f, bean, err)
-			if err != nil {
-				out[li.idx].Bean, out[li.idx].Err = cb.degraded(li.key, err)
-				continue
-			}
-			if current {
-				ttl := time.Duration(0)
-				if li.d.Cache.TTLSeconds > 0 {
-					ttl = time.Duration(li.d.Cache.TTLSeconds) * time.Second
-				}
-				psp := obs.Leaf(ctx, "cache.put").Label("unit", li.d.ID)
-				stored := cb.Cache.PutIfFresh(li.key, bean, li.d.Reads, ttl, li.ver)
-				psp.Label("stored", strconv.FormatBool(stored)).End()
-			}
-			out[li.idx] = UnitResult{Bean: bean}
-		}
-	}
-	// Joined flights resolve after the inner batch: a same-batch leader
-	// (same key twice in one level) has finished by now, and flights led
-	// by other requests were already computing concurrently.
-	for _, jn := range joins {
-		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", jn.unit)
-		select {
-		case <-jn.f.done:
-			wsp.End()
-		case <-ctx.Done():
-			wsp.EndErr(ctx.Err())
-			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, ctx.Err())
-			continue
-		}
-		if jn.f.err != nil {
-			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, jn.f.err)
-			continue
-		}
-		out[jn.idx] = UnitResult{Bean: jn.f.bean}
-	}
-	return out
 }

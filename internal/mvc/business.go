@@ -147,57 +147,116 @@ func NewCachedBusiness(inner Business, c *cache.BeanCache) *CachedBusiness {
 	return &CachedBusiness{Inner: inner, Cache: c}
 }
 
-// ComputeUnit implements Business with bean caching and singleflight
-// coalescing: of K requests missing the same key concurrently, one (the
-// leader) computes against the database and the other K-1 wait for its
-// result. The invalidation version of the unit's read dependencies is
-// snapshotted before computing; PutIfFresh refuses the bean if an
-// operation invalidated any of them in the meantime, so a stale bean is
-// never cached.
+// ComputeUnit implements Business as a one-item ComputeUnits.
 func (cb *CachedBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	if d.Cache == nil || !d.Cache.Enabled {
-		return cb.Inner.ComputeUnit(ctx, d, inputs)
+	r := cb.ComputeUnits(ctx, []UnitCall{{D: d, Inputs: inputs}})[0]
+	return r.Bean, r.Err
+}
+
+// SupportsUnitBatch implements BatchComputer by delegation.
+func (cb *CachedBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(cb.Inner) }
+
+// ComputeUnits implements BatchComputer with bean caching and
+// singleflight coalescing: hits are answered locally; of K requests
+// missing the same key concurrently, one (the leader) computes and the
+// other K-1 wait for its result. Only this request's leader misses (plus
+// uncached units) travel down, as one smaller batch. The invalidation
+// version of each leader's read dependencies is snapshotted before
+// computing; PutIfFresh refuses the bean if an operation invalidated any
+// of them in the meantime, so a stale bean is never cached. The inner
+// batch goes through ComputeUnitsOf, which contains panics, so every
+// flight this request leads is finished.
+func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
+	out := make([]UnitResult, len(calls))
+	// leader describes one inner-batch slot: the call index it resolves,
+	// and — for cached units — the flight this request leads plus the
+	// pre-compute invalidation version snapshot.
+	type leader struct {
+		idx int
+		key string
+		f   *flight
+		ver uint64
+		d   *descriptor.Unit
 	}
-	key := beanKey(d.ID, inputs)
-	gsp := obs.Leaf(ctx, "cache.get").Label("unit", d.ID)
-	if v, ok := cb.Cache.Get(key); ok {
-		gsp.Label("outcome", "hit").End()
-		return v.(*UnitBean), nil
+	type joiner struct {
+		idx  int
+		key  string
+		unit string
+		f    *flight
 	}
-	gsp.Label("outcome", "miss").End()
-	f, leader := cb.flights.join(key, d.Reads)
-	if !leader {
-		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", d.ID)
+	var inner []UnitCall
+	var leaders []leader
+	var joins []joiner
+	for i, c := range calls {
+		if c.D.Cache == nil || !c.D.Cache.Enabled {
+			inner = append(inner, c)
+			leaders = append(leaders, leader{idx: i})
+			continue
+		}
+		key := beanKey(c.D.ID, c.Inputs)
+		gsp := obs.Leaf(ctx, "cache.get").Label("unit", c.D.ID)
+		if v, ok := cb.Cache.Get(key); ok {
+			gsp.Label("outcome", "hit").End()
+			out[i] = UnitResult{Bean: v.(*UnitBean)}
+			continue
+		}
+		gsp.Label("outcome", "miss").End()
+		f, lead := cb.flights.join(key, c.D.Reads)
+		if !lead {
+			joins = append(joins, joiner{idx: i, key: key, unit: c.D.ID, f: f})
+			continue
+		}
+		inner = append(inner, c)
+		leaders = append(leaders, leader{idx: i, key: key, f: f, ver: cb.Cache.Version(c.D.Reads), d: c.D})
+	}
+	if len(inner) > 0 {
+		res := ComputeUnitsOf(ctx, cb.Inner, inner)
+		for j, li := range leaders {
+			bean, err := res[j].Bean, res[j].Err
+			if li.f == nil {
+				// Uncached pass-through: no flight, no cache store.
+				out[li.idx] = res[j]
+				continue
+			}
+			current := cb.flights.finish(li.key, li.f, bean, err)
+			if err != nil {
+				out[li.idx].Bean, out[li.idx].Err = cb.degraded(li.key, err)
+				continue
+			}
+			if current {
+				ttl := time.Duration(0)
+				if li.d.Cache.TTLSeconds > 0 {
+					ttl = time.Duration(li.d.Cache.TTLSeconds) * time.Second
+				}
+				psp := obs.Leaf(ctx, "cache.put").Label("unit", li.d.ID)
+				stored := cb.Cache.PutIfFresh(li.key, bean, li.d.Reads, ttl, li.ver)
+				psp.Label("stored", strconv.FormatBool(stored)).End()
+			}
+			out[li.idx] = UnitResult{Bean: bean}
+		}
+	}
+	// Joined flights resolve after the inner batch: a same-batch leader
+	// (same key twice in one level) has finished by now, and flights led
+	// by other requests were already computing concurrently.
+	for _, jn := range joins {
+		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", jn.unit)
 		select {
-		case <-f.done:
+		case <-jn.f.done:
 			wsp.End()
 		case <-ctx.Done():
 			// Don't wait past this request's budget for someone else's
 			// leader; a stale bean within bound still beats an error.
 			wsp.EndErr(ctx.Err())
-			return cb.degraded(key, ctx.Err())
+			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, ctx.Err())
+			continue
 		}
-		if f.err != nil {
-			return cb.degraded(key, f.err)
+		if jn.f.err != nil {
+			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, jn.f.err)
+			continue
 		}
-		return f.bean, nil
+		out[jn.idx] = UnitResult{Bean: jn.f.bean}
 	}
-	v := cb.Cache.Version(d.Reads)
-	bean, err := cb.Inner.ComputeUnit(ctx, d, inputs)
-	current := cb.flights.finish(key, f, bean, err)
-	if err != nil {
-		return cb.degraded(key, err)
-	}
-	if current {
-		ttl := time.Duration(0)
-		if d.Cache.TTLSeconds > 0 {
-			ttl = time.Duration(d.Cache.TTLSeconds) * time.Second
-		}
-		psp := obs.Leaf(ctx, "cache.put").Label("unit", d.ID)
-		stored := cb.Cache.PutIfFresh(key, bean, d.Reads, ttl, v)
-		psp.Label("stored", strconv.FormatBool(stored)).End()
-	}
-	return bean, nil
+	return out
 }
 
 // degraded is the fallback path of a failed cached computation: if
@@ -247,6 +306,15 @@ type NotifyingBusiness struct {
 // ComputeUnit implements Business by delegation.
 func (nb *NotifyingBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
 	return nb.Inner.ComputeUnit(ctx, d, inputs)
+}
+
+// SupportsUnitBatch implements BatchComputer by delegation.
+func (nb *NotifyingBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(nb.Inner) }
+
+// ComputeUnits implements BatchComputer by pure delegation — unit reads
+// never write, so there is nothing to notify.
+func (nb *NotifyingBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
+	return ComputeUnitsOf(ctx, nb.Inner, calls)
 }
 
 // ExecuteOperation implements Business, publishing the written tags on

@@ -127,7 +127,8 @@ func NewController(repo *descriptor.Repository, business Business, renderer Rend
 
 // SetPageWorkers bounds the page service's per-request worker pool (<=1
 // keeps sequential computation). It only applies to the in-process page
-// service; a remote page service computes on the application server.
+// service over a business tier that does not batch; a remote page
+// service computes on the application server.
 func (c *Controller) SetPageWorkers(n int) {
 	if ps, ok := c.Pages.(*PageService); ok {
 		ps.Workers = n

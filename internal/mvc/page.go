@@ -2,6 +2,7 @@ package mvc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -21,9 +22,11 @@ import (
 type PageService struct {
 	Repo     *descriptor.Repository
 	Business Business
-	// Workers bounds the per-request worker pool: units of the same
-	// topological level compute concurrently on up to Workers goroutines.
-	// <=1 selects sequential computation (the default).
+	// Workers bounds the per-request worker pool of a business tier
+	// that does not batch: units of the same topological level compute
+	// concurrently on up to Workers goroutines. <=1 computes them inline,
+	// one after another (the default). A batching tier takes each level
+	// as one ComputeUnits call instead.
 	Workers int
 	// PageLat / UnitLat, when set, record per-page and per-unit compute
 	// latency into the shared histogram families — the model-derived
@@ -81,107 +84,43 @@ func (ps *PageService) computePage(ctx context.Context, pageID string, request m
 		state.Order[i] = ur.ID
 	}
 
+	batch := SupportsUnitBatch(ps.Business)
 	for li, level := range sched.Levels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		lctx, lsp := obs.StartSpan(ctx, "page.level")
 		lsp.Label("level", strconv.Itoa(li)).Label("units", strconv.Itoa(len(level)))
-		if len(level) > 1 && SupportsUnitBatch(ps.Business) {
-			// The business tier batches (a wire-v2 remote stub at the
-			// bottom of the chain): submit the whole level in one call
-			// instead of one per unit — one round trip per level.
+		if batch {
 			lsp.Label("batch", "1")
-			if err := ps.computeLevelBatch(lctx, pd, sched, level, request, formState, state); err != nil {
-				lsp.EndErr(err)
-				return nil, err
-			}
-			lsp.End()
-			continue
 		}
-		if ps.Workers > 1 && len(level) > 1 {
-			if err := ps.computeLevel(lctx, pd, sched, level, request, formState, state); err != nil {
-				lsp.EndErr(err)
-				return nil, err
-			}
-			lsp.End()
-			continue
-		}
-		for _, unitID := range level {
-			bean, err := ps.computeOne(lctx, pd, sched, unitID, request, formState, state)
-			if err != nil {
-				lsp.EndErr(err)
-				return nil, err
-			}
-			state.Beans[unitID] = bean
+		if err := ps.computeLevel(lctx, batch, pd, sched, level, request, formState, state); err != nil {
+			lsp.EndErr(err)
+			return nil, err
 		}
 		lsp.End()
 	}
 	return state, nil
 }
 
-// computeLevel runs one topological level's units concurrently on a
-// bounded worker pool. Beans merge deterministically (each unit writes
-// its own slot, merged in level order after the barrier); on failure the
-// error of the earliest unit in level order is returned, and units not
-// yet started are skipped.
-func (ps *PageService) computeLevel(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
-	workers := ps.Workers
-	if workers > len(level) {
-		workers = len(level)
-	}
-	beans := make([]*UnitBean, len(level))
-	errs := make([]error, len(level))
-	var failed atomic.Bool
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, unitID := range level {
-		if failed.Load() || ctx.Err() != nil {
-			break // first-error / deadline cancellation: stop scheduling
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, unitID string) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			bean, err := ps.computeOne(ctx, pd, sched, unitID, request, formState, state)
-			if err != nil {
-				errs[i] = err
-				failed.Store(true)
-				return
-			}
-			beans[i] = bean
-		}(i, unitID)
-	}
-	wg.Wait()
-	for i := range level {
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i, unitID := range level {
-		if beans[i] != nil {
-			state.Beans[unitID] = beans[i]
-		}
-	}
-	return nil
-}
+// errNotRun marks a pool unit that was never dispatched because a level
+// peer had already failed or the deadline had passed. It records no
+// latency and never becomes the level's error: a peer's error earlier in
+// level order, or the context error, always precedes it.
+var errNotRun = errors.New("mvc: unit not run: its level had already failed")
 
-// computeLevelBatch runs one topological level through the business
-// tier's batch interface: inputs are resolved for every unit up front
-// (they only read beans of strictly earlier levels), the whole level
-// travels as one ComputeUnits call, and results merge with computeLevel's
-// exact semantics — deterministic bean merge, first error in level order
-// wins, sticky form-state errors cloned copy-on-write per request. Each
-// unit still gets its own "unit" span and UnitLat observation (the batch
-// wall time: units of a batched level finish together from the
-// scheduler's point of view).
-func (ps *PageService) computeLevelBatch(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
+// computeLevel computes one topological level. Every unit's inputs are
+// resolved up front (they only read beans of strictly earlier levels),
+// then the level is dispatched once: when batch (SupportsUnitBatch of
+// the business tier) holds, as one ComputeUnits call — one round trip
+// per level on a remote tier, even for a one-unit level — otherwise as
+// guarded per-unit ComputeUnit calls on the worker pool. Results merge the same way on both sides: the
+// first error in level order wins, beans merge deterministically, and
+// sticky form-state errors are cloned onto the bean copy-on-write. Each
+// unit gets its own "unit" span and UnitLat observation — its own call
+// time in the pool, the batch wall time in a batch (units of a batched
+// level finish together from the scheduler's point of view).
+func (ps *PageService) computeLevel(ctx context.Context, batch bool, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
 	calls := make([]UnitCall, len(level))
 	for i, unitID := range level {
 		ud, inputs, err := ps.resolveInputs(pd, sched, unitID, request, formState, state)
@@ -194,32 +133,31 @@ func (ps *PageService) computeLevelBatch(ctx context.Context, pd *descriptor.Pag
 	for i, unitID := range level {
 		spans[i] = obs.Leaf(ctx, "unit").Label("unit", unitID).Label("entity", calls[i].D.Entity)
 	}
-	start := time.Now()
-	res := ps.batchGuarded(ctx, calls)
-	elapsed := time.Since(start)
-	beans := make([]*UnitBean, len(level))
+	var res []UnitResult
+	lat := make([]time.Duration, len(level))
+	if batch {
+		start := time.Now()
+		res = ComputeUnitsOf(ctx, ps.Business, calls)
+		elapsed := time.Since(start)
+		for i := range lat {
+			lat[i] = elapsed
+		}
+	} else {
+		res = ps.computeEach(ctx, calls, lat)
+	}
 	var firstErr error
 	for i, unitID := range level {
 		err := res[i].Err
-		if ps.UnitLat != nil {
-			ps.UnitLat.ObserveErr(unitID, elapsed, err != nil)
-		}
 		spans[i].EndErr(err)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+		if errors.Is(err, errNotRun) {
 			continue
 		}
-		bean := res[i].Bean
-		if fs := formState[unitID]; fs != nil && len(fs.Errors) > 0 && bean != nil {
-			// Copy-on-write: the bean may come from the shared cache, and
-			// validation errors belong to this request only.
-			clone := *bean
-			clone.Errors = fs.Errors
-			bean = &clone
+		if ps.UnitLat != nil {
+			ps.UnitLat.ObserveErr(unitID, lat[i], err != nil)
 		}
-		beans[i] = bean
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if firstErr != nil {
 		return firstErr
@@ -228,30 +166,58 @@ func (ps *PageService) computeLevelBatch(ctx context.Context, pd *descriptor.Pag
 		return err
 	}
 	for i, unitID := range level {
-		if beans[i] != nil {
-			state.Beans[unitID] = beans[i]
+		bean := res[i].Bean
+		if bean == nil {
+			continue
 		}
+		if fs := formState[unitID]; fs != nil && len(fs.Errors) > 0 {
+			// Copy-on-write: the bean may come from the shared cache, and
+			// validation errors belong to this request only.
+			clone := *bean
+			clone.Errors = fs.Errors
+			bean = &clone
+		}
+		state.Beans[unitID] = bean
 	}
 	return nil
 }
 
-// batchGuarded contains a panicking batch implementation the same way
-// the per-unit paths contain panicking unit services: every item of the
-// level gets the panic as its error, and a short result set is padded so
-// callers can index safely.
-func (ps *PageService) batchGuarded(ctx context.Context, calls []UnitCall) (res []UnitResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("mvc: batch panicked: %v", r)
-			res = make([]UnitResult, len(calls))
-			for i := range res {
-				res[i] = UnitResult{Err: err}
+// computeEach runs a level's units as guarded ComputeUnit calls on up to
+// Workers goroutines, the calling one included (inline when Workers<=1
+// or the level has one unit), recording each unit's own call time into
+// lat. Units are claimed in level order; once a unit fails or the
+// deadline passes no more are claimed, and the unclaimed rest of the
+// level is marked errNotRun.
+func (ps *PageService) computeEach(ctx context.Context, calls []UnitCall, lat []time.Duration) []UnitResult {
+	res := make([]UnitResult, len(calls))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(calls) {
+				return
+			}
+			start := time.Now()
+			res[i].Bean, res[i].Err = computeOneGuarded(ctx, ps.Business, calls[i])
+			lat[i] = time.Since(start)
+			if res[i].Err != nil {
+				failed.Store(true)
 			}
 		}
-	}()
-	res = ps.Business.(BatchComputer).ComputeUnits(ctx, calls)
-	for len(res) < len(calls) {
-		res = append(res, UnitResult{Err: fmt.Errorf("mvc: batch returned %d results for %d calls", len(res), len(calls))})
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(ps.Workers, len(calls)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i := int(next.Load()); i < len(calls); i++ {
+		res[i].Err = errNotRun
 	}
 	return res
 }
@@ -290,48 +256,6 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 		}
 	}
 	return ud, inputs, nil
-}
-
-// computeOne resolves one unit's inputs (request parameters, intra-page
-// edges, sticky form state) and invokes its service. It only reads beans
-// of strictly earlier levels from state, so level peers may run it
-// concurrently. A panicking unit service (user-supplied custom
-// components run arbitrary code) is contained here and surfaces as the
-// unit's error instead of killing the process — on the worker pool an
-// uncaught panic in a goroutine would otherwise be unrecoverable.
-func (ps *PageService) computeOne(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, unitID string, request map[string]Value, formState map[string]*FormState, state *PageState) (bean *UnitBean, err error) {
-	start := time.Now()
-	sp := obs.Leaf(ctx, "unit").Label("unit", unitID)
-	// Registered before the recover defer (LIFO): the panic handler sets
-	// err first, then this defer records the outcome.
-	defer func() {
-		if ps.UnitLat != nil {
-			ps.UnitLat.ObserveErr(unitID, time.Since(start), err != nil)
-		}
-		sp.EndErr(err)
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			bean, err = nil, fmt.Errorf("mvc: unit %s panicked: %v", unitID, r)
-		}
-	}()
-	ud, inputs, err := ps.resolveInputs(pd, sched, unitID, request, formState, state)
-	if err != nil {
-		return nil, err
-	}
-	sp.Label("entity", ud.Entity)
-	bean, err = ps.Business.ComputeUnit(ctx, ud, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if fs := formState[unitID]; fs != nil && len(fs.Errors) > 0 {
-		// Copy-on-write: the bean may come from the shared cache, and
-		// validation errors belong to this request only.
-		clone := *bean
-		clone.Errors = fs.Errors
-		bean = &clone
-	}
-	return bean, nil
 }
 
 // FormState carries an entry unit's sticky values and validation errors

@@ -46,33 +46,58 @@ func NewResilientBusiness(inner Business, seed int64) *ResilientBusiness {
 	return &ResilientBusiness{Inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
-// ComputeUnit implements Business with retry: failed attempts back off
-// and re-run against the inner business until one succeeds, the attempt
-// budget runs out, or the request context expires (context errors are
-// never retried — the budget is gone, more attempts cannot help).
+// ComputeUnit implements Business as a one-item ComputeUnits.
 func (rb *ResilientBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
+	r := rb.ComputeUnits(ctx, []UnitCall{{D: d, Inputs: inputs}})[0]
+	return r.Bean, r.Err
+}
+
+// SupportsUnitBatch implements BatchComputer by delegation.
+func (rb *ResilientBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(rb.Inner) }
+
+// ComputeUnits implements BatchComputer with per-item retry: failed items
+// back off and re-run against the inner business until they succeed, the
+// attempt budget runs out, or the request context expires. Each round
+// re-submits only the items that failed retryably (reads are idempotent;
+// context errors mean the budget is gone and nothing is retried), so one
+// flapping unit does not recompute its whole level. A panic below is
+// contained by ComputeUnitsOf and retried like any other item error.
+func (rb *ResilientBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
 	attempts := rb.MaxAttempts
 	if attempts == 0 {
 		attempts = 3
 	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	out := make([]UnitResult, len(calls))
+	pending := make([]int, len(calls))
+	for i := range pending {
+		pending[i] = i
+	}
+	cur := calls
+	for attempt := 0; attempt < attempts && len(pending) > 0; attempt++ {
 		if attempt > 0 {
-			rb.Retries.Add(1)
+			rb.Retries.Add(int64(len(pending)))
 			if err := rb.sleep(ctx, attempt); err != nil {
-				return nil, lastErr
+				break
 			}
 		}
-		bean, err := rb.Inner.ComputeUnit(ctx, d, inputs)
-		if err == nil {
-			return bean, nil
+		res := ComputeUnitsOf(ctx, rb.Inner, cur)
+		var nextIdx []int
+		var next []UnitCall
+		for j, r := range res {
+			idx := pending[j]
+			out[idx] = r
+			if r.Err != nil && !errors.Is(r.Err, context.DeadlineExceeded) &&
+				!errors.Is(r.Err, context.Canceled) && ctx.Err() == nil {
+				nextIdx = append(nextIdx, idx)
+				next = append(next, cur[j])
+			}
 		}
-		lastErr = err
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || ctx.Err() != nil {
-			return nil, lastErr
+		pending, cur = nextIdx, next
+		if ctx.Err() != nil {
+			break
 		}
 	}
-	return nil, lastErr
+	return out
 }
 
 // ExecuteOperation implements Business by pure delegation — writes are
